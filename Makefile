@@ -44,11 +44,11 @@ obs-check:
 		-require $(OBS_REQUIRED); rc=$$?; \
 	kill $$pid 2>/dev/null; exit $$rc
 
-# Read-path benchmarks (region scan, k-way merge, scan executor, hot SRQ).
+# Read-path benchmarks (region scan, block-run merge, scan executor, hot SRQ).
 # Human-readable output goes to stderr; machine-readable results land in
 # BENCH_readpath.json for archival and regression diffing.
 bench:
-	$(GO) test -run= -bench 'BenchmarkRegionScan|BenchmarkScanRangesManyRegions|BenchmarkMergeRuns|BenchmarkBlock' \
+	$(GO) test -run= -bench 'BenchmarkRegionScan|BenchmarkScanRangesManyRegions|BenchmarkBlock' \
 		-benchmem -benchtime=2s ./internal/kvstore/ > /tmp/bench_kvstore.txt
 	$(GO) test -run= -bench 'BenchmarkSRQHot' -benchmem -benchtime=2s ./internal/engine/ > /tmp/bench_engine.txt
 	$(GO) run ./cmd/benchjson -suite readpath -o BENCH_readpath.json \
@@ -56,9 +56,9 @@ bench:
 
 # Write-path benchmarks (per-region MultiPut vs sequential Put, WAL group
 # commit, engine BatchPut vs Put loop, sustained-ingest write amplification
-# for the tiered vs monolithic compaction policies). Each benchmark runs
-# WRITE_BENCHCOUNT times and benchjson archives the fastest (min-of-N, same
-# noise rationale as bench-query). Results land in BENCH_writepath.json.
+# of the tiered compaction policy). Each benchmark runs WRITE_BENCHCOUNT
+# times and benchjson archives the fastest (min-of-N, same noise rationale
+# as bench-query). Results land in BENCH_writepath.json.
 WRITE_BENCHCOUNT ?= 3
 bench-write:
 	$(GO) test -run= -bench 'BenchmarkWrite(Sequential|Batched)' -count=$(WRITE_BENCHCOUNT) \
@@ -71,9 +71,9 @@ bench-write:
 		/tmp/bench_write_kvstore.txt /tmp/bench_write_sustained.txt /tmp/bench_write_engine.txt
 
 # Query-path throughput benchmarks: the mixed workload driven by 1/4/8
-# concurrent clients against the tuned path (sharded LFU + singleflight +
-# plan cache) and the pre-PR baseline (single mutex, no plan cache).
-# QUERY_BENCHTIME=1x gives CI a smoke run; the default measures for real.
+# concurrent clients against the serving path (sharded LFU + singleflight +
+# plan cache). QUERY_BENCHTIME=1x gives CI a smoke run; the default measures
+# for real.
 # Each benchmark runs QUERY_BENCHCOUNT times and benchjson archives the
 # fastest — single samples swing ±20% on shared single-core hosts, far past
 # any useful regression budget, while min-of-N rejects the (one-sided)

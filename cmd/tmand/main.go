@@ -54,10 +54,8 @@ func main() {
 		blockSize   = flag.Int("block-size", 0, "encoded run block size in bytes (0 = 4096, min 512)")
 		blockCache  = flag.Int("block-cache-mb", 0, "decoded block cache capacity in MiB (0 = 32, negative disables)")
 		bloomBits   = flag.Int("bloom-bits", 0, "bloom filter bits per key (0 = 10, negative disables)")
-		blockFences = flag.Bool("block-fences", true, "prune run blocks via per-block time/bbox fences")
 		compactFan  = flag.Int("compact-fanin", 0, "same-tier runs merged per tiered compaction (0 = 4, min 2)")
 		compactSub  = flag.Int("compact-subranges", 0, "key-range partitions per large merge (0 = 4, 1 disables)")
-		monolithic  = flag.Bool("compact-monolithic", false, "use the legacy whole-region compaction policy")
 		sloP99MS    = flag.Int("slo-p99-ms", 0, "per-query latency objective in ms (0 = 250, negative disables SLO tracking)")
 		sloBudget   = flag.Float64("slo-budget", 0, "allowed late fraction of the objective (0 = 0.01)")
 		maxInflight = flag.Int("max-inflight", 0, "shed query/ingest load above this many in-flight requests (0 = unlimited)")
@@ -108,11 +106,8 @@ func main() {
 		}
 		opts = append(opts, tman.WithBlockTuning(*blockSize, *bloomBits, cacheBytes))
 	}
-	if !*blockFences {
-		opts = append(opts, tman.WithFenceTuning(false))
-	}
-	if *compactFan != 0 || *compactSub != 0 || *monolithic {
-		opts = append(opts, tman.WithCompactionTuning(*compactFan, *compactSub, *monolithic))
+	if *compactFan != 0 || *compactSub != 0 {
+		opts = append(opts, tman.WithCompactionTuning(*compactFan, *compactSub))
 	}
 	if *dataDir != "" {
 		opts = append(opts, tman.WithDataDir(*dataDir))

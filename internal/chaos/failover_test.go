@@ -20,89 +20,19 @@ func extraTrajectories(n int, seed int64) []*tman.Trajectory {
 	return ds.Trajs
 }
 
-// TestFailoverConvergence is the acceptance scenario for replicated regions:
-// an RF=3 cluster survives a rotation of leader kills and node restarts with
-// writes landing between every kill, and afterwards answers all six query
-// types bit-identically to an unreplicated cluster that saw the same data
-// with no faults at all — zero acked-write loss, no divergence.
-func TestFailoverConvergence(t *testing.T) {
-	run := Run{Seed: dataSeed, Scenario: "rf3-leader-kill-rotation"}
-
-	healthy, err := NewCluster(datasetSize, dataSeed)
-	run.Assert(t, err == nil, "healthy cluster: %v", err)
-	replicated, err := NewCluster(datasetSize, dataSeed, tman.WithReplication(3))
-	run.Assert(t, err == nil, "replicated cluster: %v", err)
-	ctx := context.Background()
-	store := replicated.DB.Engine().Store()
-	run.Assert(t, store.Replicas() == 3, "replicas = %d, want 3", store.Replicas())
-
-	// Rolling outages: kill a node (promoting every leader it hosted),
-	// write a fresh slice of trajectories into BOTH clusters while it is
-	// down, prove the replicated cluster still answers queries mid-outage,
-	// then restart the node (follower catch-up) and move to the next.
-	extra := extraTrajectories(200, dataSeed+1000)
-	const cycles = 5
-	chunk := len(extra) / cycles
-	for cycle := 0; cycle < cycles; cycle++ {
-		node := cycle % store.Nodes()
-		store.KillNode(node)
-
-		part := extra[cycle*chunk : (cycle+1)*chunk]
-		err = replicated.DB.PutBatch(part)
-		run.Assert(t, err == nil, "cycle %d: replicated write during outage: %v", cycle, err)
-		err = healthy.DB.PutBatch(part)
-		run.Assert(t, err == nil, "cycle %d: healthy write: %v", cycle, err)
-
-		mid, err := replicated.SixQueries(ctx, querySeed+int64(cycle), 1)
-		run.Assert(t, err == nil, "cycle %d: queries during outage: %v", cycle, err)
-		run.Assert(t, !AnyPartial(mid), "cycle %d: partial results during single-node outage", cycle)
-
-		store.ReviveNode(node)
-	}
-
-	st := store.Stats().Snapshot()
-	run.Assert(t, st.Failovers > 0, "no failovers happened — scenario never killed a leader")
-	run.Assert(t, st.ShipRejects == 0, "ShipRejects = %d, want 0 (no frame should ever be rejected here)", st.ShipRejects)
-
-	// Convergence: all six query types, multiple rounds, bit-identical
-	// between the chaos-ridden replicated cluster and the never-faulted one.
-	want, err := healthy.SixQueries(ctx, querySeed, rounds)
-	run.Assert(t, err == nil, "healthy queries: %v", err)
-	got, err := replicated.SixQueries(ctx, querySeed, rounds)
-	run.Assert(t, err == nil, "replicated queries: %v", err)
-	run.Assert(t, len(got) == len(want), "query count mismatch: %d vs %d", len(got), len(want))
-	for i := range want {
-		run.Assert(t, got[i].Name == want[i].Name, "query order diverged at %d: %s vs %s", i, got[i].Name, want[i].Name)
-		gfp, wfp := Fingerprint(got[i].Rows), Fingerprint(want[i].Rows)
-		run.Assert(t, gfp == wfp, "query %s diverged after convergence:\n got %s\nwant %s", got[i].Name, gfp, wfp)
-	}
-
-	// The mid-outage writes were acknowledged; none may be lost.
-	for i, tr := range extra {
-		got, rep, err := replicated.DB.QueryObjectCtx(ctx, tr.OID, tman.TimeRange{Start: tr.Points[0].T, End: tr.Points[len(tr.Points)-1].T})
-		run.Assert(t, err == nil && !rep.Partial, "acked trajectory %d: query failed: %v partial=%v", i, err, rep.Partial)
-		found := false
-		for _, g := range got {
-			if g.TID == tr.TID {
-				found = true
-				break
-			}
-		}
-		run.Assert(t, found, "acked-write loss: trajectory %s (written during cycle %d) missing", tr.TID, i/chunk)
-	}
-
-	// Bounded-staleness follower reads after convergence must equal the
-	// healthy answers too: every replica holds committed history only.
-	fctx := tman.WithMaxStaleness(ctx, 0)
-	fgot, err := replicated.SixQueries(fctx, querySeed, rounds)
+// followerReadsMatchModel replays the six queries under a follower-read
+// context, demands the model's answers, and returns how many region scans
+// followers served.
+func (c *Cluster) followerReadsMatchModel(ctx context.Context, t *testing.T, run Run) (followerReads int64) {
+	t.Helper()
+	got, err := c.SixQueries(ctx, querySeed, rounds)
 	run.Assert(t, err == nil, "follower-read queries: %v", err)
-	var followerReads int64
-	for i := range want {
-		run.Assert(t, Fingerprint(fgot[i].Rows) == Fingerprint(want[i].Rows),
-			"follower-read query %s diverged from healthy answer", fgot[i].Name)
-		followerReads += fgot[i].Report.FollowerReads
+	for _, g := range got {
+		run.Assert(t, Fingerprint(g.Rows) == Fingerprint(c.Model.Answer(g.Query)),
+			"follower-read query %s diverged from the model", g.Name)
+		followerReads += g.Report.FollowerReads
 	}
-	run.Assert(t, followerReads > 0, "staleness-bounded pass never touched a follower")
+	return followerReads
 }
 
 // TestFollowerReadsRouteAroundSlowNodes: with a slow-node fault and a
@@ -110,8 +40,6 @@ func TestFailoverConvergence(t *testing.T) {
 // happen and results stay exact.
 func TestFollowerReadsRouteAroundSlowNodes(t *testing.T) {
 	run := Run{Seed: dataSeed, Scenario: "slow-node-follower-routing"}
-	healthy, err := NewCluster(datasetSize, dataSeed)
-	run.Assert(t, err == nil, "healthy cluster: %v", err)
 	replicated, err := NewCluster(datasetSize, dataSeed,
 		tman.WithReplication(3),
 		tman.WithFaultInjection(tman.FaultConfig{
@@ -121,16 +49,6 @@ func TestFollowerReadsRouteAroundSlowNodes(t *testing.T) {
 	)
 	run.Assert(t, err == nil, "replicated cluster: %v", err)
 
-	ctx := tman.WithMaxStaleness(context.Background(), 50*time.Millisecond)
-	want, err := healthy.SixQueries(context.Background(), querySeed, rounds)
-	run.Assert(t, err == nil, "healthy queries: %v", err)
-	got, err := replicated.SixQueries(ctx, querySeed, rounds)
-	run.Assert(t, err == nil, "bounded queries: %v", err)
-	var followerReads int64
-	for i := range want {
-		run.Assert(t, Fingerprint(got[i].Rows) == Fingerprint(want[i].Rows),
-			"query %s diverged under follower routing", got[i].Name)
-		followerReads += got[i].Report.FollowerReads
-	}
+	followerReads := replicated.followerReadsMatchModel(tman.WithMaxStaleness(context.Background(), 50*time.Millisecond), t, run)
 	run.Assert(t, followerReads > 0, "no follower reads under a 50ms bound on a caught-up cluster")
 }

@@ -1,8 +1,9 @@
 // Package chaos is a fault-injection test harness for the simulated
-// cluster: it loads identical workloads into fault-free and faulted
-// database instances, replays identical seeded query mixes against both,
-// and provides comparators to assert that retried queries converge to the
-// fault-free answer (or degrade to a correct subset under deadlines).
+// cluster: it loads a seeded workload into a database instance while
+// mirroring every acknowledged write into a brute-force model, replays
+// seeded query mixes, and provides comparators to assert that retried
+// queries converge to the model's answer (or degrade to a correct subset
+// under deadlines).
 package chaos
 
 import (
@@ -45,10 +46,13 @@ func (r Run) Assert(t Failer, ok bool, format string, args ...any) {
 	}
 }
 
-// Cluster pairs a database with the dataset loaded into it.
+// Cluster pairs a database with the dataset loaded into it and the model
+// of every write it has acknowledged (see oracle.go); write through
+// Cluster.Put / Cluster.Delete to keep the two in step.
 type Cluster struct {
-	DB *tman.DB
-	DS *workload.Dataset
+	DB    *tman.DB
+	DS    *workload.Dataset
+	Model *Model
 }
 
 // SmallRegions shrinks region and memtable thresholds so even modest
@@ -70,115 +74,108 @@ func NewCluster(n int, seed int64, opts ...tman.Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := db.PutBatch(ds.Trajs); err != nil {
+	c := &Cluster{DB: db, DS: ds, Model: NewModel(ds.Boundary)}
+	if err := c.Put(ds.Trajs); err != nil {
 		return nil, err
 	}
-	return &Cluster{DB: db, DS: ds}, nil
+	return c, nil
+}
+
+// Query is one sampled query of the paper's six types; Kind selects which
+// of the parameter fields are meaningful.
+type Query struct {
+	Kind  string // time | space | object | spacetime | similar | nearest
+	Time  tman.TimeRange
+	Space tman.Rect
+	OID   string
+	Traj  *tman.Trajectory // similar: the query trajectory
+	X, Y  float64          // nearest: the query point
+}
+
+// Similarity threshold (fraction of the boundary extent) and neighbour
+// count every sampled similar / nearest query uses.
+const (
+	similarTheta = 0.05
+	nearestK     = 5
+	hour         = int64(3600_000)
+)
+
+// sixDraws samples one round of queries, in the fixed order every replay
+// shares: a replay that runs only the first n kinds draws only those, so
+// its sampler stream does not depend on the kinds it skips.
+var sixDraws = []func(s *workload.QuerySampler) Query{
+	func(s *workload.QuerySampler) Query { return Query{Kind: "time", Time: s.TimeWindow(2 * hour)} },
+	func(s *workload.QuerySampler) Query { return Query{Kind: "space", Space: s.SpaceWindow(20)} },
+	func(s *workload.QuerySampler) Query {
+		oid, w := s.ObjectWindow(6 * hour)
+		return Query{Kind: "object", OID: oid, Time: w}
+	},
+	func(s *workload.QuerySampler) Query {
+		return Query{Kind: "spacetime", Space: s.SpaceWindow(40), Time: s.TimeWindow(6 * hour)}
+	},
+	func(s *workload.QuerySampler) Query { return Query{Kind: "similar", Traj: s.QueryTrajectory()} },
+	func(s *workload.QuerySampler) Query {
+		nt := s.QueryTrajectory()
+		p := nt.Points[len(nt.Points)/2]
+		return Query{Kind: "nearest", X: p.X, Y: p.Y}
+	},
+}
+
+// exec runs q against the cluster's database under ctx.
+func (c *Cluster) exec(ctx context.Context, q Query) ([]*tman.Trajectory, tman.Report, error) {
+	switch q.Kind {
+	case "time":
+		return c.DB.QueryTimeRangeCtx(ctx, q.Time)
+	case "space":
+		return c.DB.QuerySpaceCtx(ctx, q.Space)
+	case "object":
+		return c.DB.QueryObjectCtx(ctx, q.OID, q.Time)
+	case "spacetime":
+		return c.DB.QuerySpaceTimeCtx(ctx, q.Space, q.Time)
+	case "similar":
+		return c.DB.QuerySimilarThresholdCtx(ctx, q.Traj, similarity.Frechet, similarTheta)
+	default:
+		return c.DB.QueryNearestCtx(ctx, q.X, q.Y, nearestK)
+	}
 }
 
 // QueryResult is one query's outcome on one cluster.
 type QueryResult struct {
 	Name   string
+	Query  Query
 	Rows   []*tman.Trajectory
 	Report tman.Report
 }
 
-// StandardQueries replays a deterministic mixed workload — temporal,
-// spatial, ID-temporal and spatio-temporal windows drawn by a seeded
-// sampler — under ctx. The same (seed, rounds) against clusters holding the
-// same dataset issues byte-identical queries, so results line up pairwise.
-func (c *Cluster) StandardQueries(ctx context.Context, seed int64, rounds int) ([]QueryResult, error) {
-	const hour = int64(3600_000)
+// replay runs rounds × the first perRound kinds of sixDraws from one seeded
+// sampler. The same (seed, rounds) against clusters holding the same
+// dataset issues byte-identical queries, so results line up pairwise.
+func (c *Cluster) replay(ctx context.Context, seed int64, rounds, perRound int) ([]QueryResult, error) {
 	s := workload.NewQuerySampler(c.DS, seed)
-	out := make([]QueryResult, 0, rounds*4)
+	out := make([]QueryResult, 0, rounds*perRound)
 	for i := 0; i < rounds; i++ {
-		tw := s.TimeWindow(2 * hour)
-		rows, rep, err := c.DB.QueryTimeRangeCtx(ctx, tw)
-		if err != nil {
-			return out, fmt.Errorf("time query %d: %w", i, err)
+		for _, draw := range sixDraws[:perRound] {
+			q := draw(s)
+			rows, rep, err := c.exec(ctx, q)
+			if err != nil {
+				return out, fmt.Errorf("%s query %d: %w", q.Kind, i, err)
+			}
+			out = append(out, QueryResult{Name: fmt.Sprintf("%s-%d", q.Kind, i), Query: q, Rows: rows, Report: rep})
 		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("time-%d", i), Rows: rows, Report: rep})
-
-		sw := s.SpaceWindow(20)
-		rows, rep, err = c.DB.QuerySpaceCtx(ctx, sw)
-		if err != nil {
-			return out, fmt.Errorf("space query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("space-%d", i), Rows: rows, Report: rep})
-
-		oid, ow := s.ObjectWindow(6 * hour)
-		rows, rep, err = c.DB.QueryObjectCtx(ctx, oid, ow)
-		if err != nil {
-			return out, fmt.Errorf("object query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("object-%d", i), Rows: rows, Report: rep})
-
-		sw2 := s.SpaceWindow(40)
-		tw2 := s.TimeWindow(6 * hour)
-		rows, rep, err = c.DB.QuerySpaceTimeCtx(ctx, sw2, tw2)
-		if err != nil {
-			return out, fmt.Errorf("spacetime query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("spacetime-%d", i), Rows: rows, Report: rep})
 	}
 	return out, nil
 }
 
+// StandardQueries replays a deterministic mixed workload — temporal,
+// spatial, ID-temporal and spatio-temporal windows — under ctx.
+func (c *Cluster) StandardQueries(ctx context.Context, seed int64, rounds int) ([]QueryResult, error) {
+	return c.replay(ctx, seed, rounds, 4)
+}
+
 // SixQueries replays all six of the paper's query types — the four windows
-// of StandardQueries plus similarity-threshold and k-nearest — from one
-// seeded sampler. Identical (seed, rounds) against clusters holding the same
-// dataset issue identical queries; the failover suite uses this as its
-// bit-identical convergence probe.
+// of StandardQueries plus similarity-threshold and k-nearest.
 func (c *Cluster) SixQueries(ctx context.Context, seed int64, rounds int) ([]QueryResult, error) {
-	const hour = int64(3600_000)
-	s := workload.NewQuerySampler(c.DS, seed)
-	out := make([]QueryResult, 0, rounds*6)
-	for i := 0; i < rounds; i++ {
-		tw := s.TimeWindow(2 * hour)
-		rows, rep, err := c.DB.QueryTimeRangeCtx(ctx, tw)
-		if err != nil {
-			return out, fmt.Errorf("time query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("time-%d", i), Rows: rows, Report: rep})
-
-		sw := s.SpaceWindow(20)
-		rows, rep, err = c.DB.QuerySpaceCtx(ctx, sw)
-		if err != nil {
-			return out, fmt.Errorf("space query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("space-%d", i), Rows: rows, Report: rep})
-
-		oid, ow := s.ObjectWindow(6 * hour)
-		rows, rep, err = c.DB.QueryObjectCtx(ctx, oid, ow)
-		if err != nil {
-			return out, fmt.Errorf("object query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("object-%d", i), Rows: rows, Report: rep})
-
-		sw2 := s.SpaceWindow(40)
-		tw2 := s.TimeWindow(6 * hour)
-		rows, rep, err = c.DB.QuerySpaceTimeCtx(ctx, sw2, tw2)
-		if err != nil {
-			return out, fmt.Errorf("spacetime query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("spacetime-%d", i), Rows: rows, Report: rep})
-
-		qt := s.QueryTrajectory()
-		rows, rep, err = c.DB.QuerySimilarThresholdCtx(ctx, qt, similarity.Frechet, 0.05)
-		if err != nil {
-			return out, fmt.Errorf("similar query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("similar-%d", i), Rows: rows, Report: rep})
-
-		nt := s.QueryTrajectory()
-		p := nt.Points[len(nt.Points)/2]
-		rows, rep, err = c.DB.QueryNearestCtx(ctx, p.X, p.Y, 5)
-		if err != nil {
-			return out, fmt.Errorf("nearest query %d: %w", i, err)
-		}
-		out = append(out, QueryResult{Name: fmt.Sprintf("nearest-%d", i), Rows: rows, Report: rep})
-	}
-	return out, nil
+	return c.replay(ctx, seed, rounds, len(sixDraws))
 }
 
 // Fingerprint reduces a result set to a deterministic string — sorted TIDs,
@@ -207,21 +204,6 @@ func TIDs(ts []*tman.Trajectory) []string {
 	return out
 }
 
-// SameTIDs reports whether two result sets contain exactly the same
-// trajectories (order-insensitive).
-func SameTIDs(a, b []*tman.Trajectory) bool {
-	as, bs := TIDs(a), TIDs(b)
-	if len(as) != len(bs) {
-		return false
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SubsetTIDs reports whether every trajectory in a also appears in b.
 func SubsetTIDs(a, b []*tman.Trajectory) bool {
 	have := make(map[string]struct{}, len(b))
@@ -243,14 +225,4 @@ func TotalRetries(rs []QueryResult) int64 {
 		n += r.Report.RetriedRPCs
 	}
 	return n
-}
-
-// AnyPartial reports whether any query in the set degraded.
-func AnyPartial(rs []QueryResult) bool {
-	for _, r := range rs {
-		if r.Report.Partial {
-			return true
-		}
-	}
-	return false
 }

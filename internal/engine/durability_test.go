@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tman-db/tman/internal/geo"
+	"github.com/tman-db/tman/internal/kvstore"
 	"github.com/tman-db/tman/internal/model"
 )
 
@@ -158,5 +159,74 @@ func TestDurableEngineDeletePersists(t *testing.T) {
 	all, _, _ := e2.SpatialRangeQuery(testBoundary)
 	if len(all) != 1 || all[0].TID != "keeper" {
 		t.Fatalf("recovered rows = %v", tids(all))
+	}
+}
+
+// Reopening without a checkpoint replays the whole log, and replay already
+// flushes memtables in the background while New is still running. The fence
+// extractors are part of how the store's tables are opened, so those
+// flushes race with nothing (run under -race) and the recovered runs carry
+// fences like any other: a fence-aware query consults them.
+func TestReopenUnderReplayFlushesIsRaceFree(t *testing.T) {
+	cfg := testConfig()
+	cfg.DataDir = t.TempDir()
+	cfg.KV.MemtableFlushBytes = 8 << 10 // several flushes per table during replay
+
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(431))
+	var trajs []*model.Trajectory
+	for i := 0; i < 600; i++ {
+		trajs = append(trajs, genTrajectory(rng, fmt.Sprintf("obj-%d", i%10), fmt.Sprintf("t%04d", i)))
+	}
+	for i := 0; i < len(trajs); i += 100 {
+		if err := e.BatchPut(trajs[i : i+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil { // no checkpoint: the log holds everything
+		t.Fatal(err)
+	}
+
+	e2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	e2.Store().Quiesce()
+	if st := e2.Store().Stats().Snapshot(); st.Flushes < 4 {
+		t.Fatalf("replay flushed %d memtables, want several", st.Flushes)
+	}
+	before := e2.Store().Stats().Snapshot()
+	for iter := 0; iter < 10; iter++ {
+		qs := int64(1_500_000_000_000) + rng.Int63n(30*24*3600_000)
+		q := model.TimeRange{Start: qs, End: qs + 12*3600_000}
+		got, _, err := e2.TemporalRangeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx := testBoundary.MinX + rng.Float64()*testBoundary.Width()*0.9
+		cy := testBoundary.MinY + rng.Float64()*testBoundary.Height()*0.9
+		sr := geo.Rect{MinX: cx, MinY: cy, MaxX: cx + 0.4, MaxY: cy + 0.4}
+		gotS, _, err := e2.SpatialRangeQuery(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, wantS []*model.Trajectory
+		for _, tr := range trajs {
+			if tr.TimeRange().Intersects(q) {
+				want = append(want, tr)
+			}
+			if tr.IntersectsRect(sr) {
+				wantS = append(wantS, tr)
+			}
+		}
+		sameTIDs(t, fmt.Sprintf("replayed TRQ iter %d", iter), tids(got), tids(want))
+		sameTIDs(t, fmt.Sprintf("replayed SRQ iter %d", iter), tids(gotS), tids(wantS))
+	}
+	if d := kvstore.Diff(before, e2.Store().Stats().Snapshot()); d.FenceBytesRead == 0 {
+		t.Fatal("queries consulted no fences: runs flushed during replay were built without them")
 	}
 }

@@ -82,16 +82,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var store *kvstore.Store
-	if cfg.DataDir != "" {
-		store, err = kvstore.OpenDir(cfg.DataDir, cfg.KV)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		store = kvstore.Open(cfg.KV)
-	}
-	e := &Engine{cfg: cfg, space: space, store: store}
+	e := &Engine{cfg: cfg, space: space}
 
 	e.trIdx, err = tr.New(cfg.PeriodMillis, cfg.N)
 	if err != nil {
@@ -111,6 +102,26 @@ func New(cfg Config) (*Engine, error) {
 		e.xzIdx = xz2.New(cfg.G)
 	}
 
+	// The store opens after the indexes exist because the fence extractors
+	// are part of how its tables are opened: WAL replay already flushes
+	// runs, and those runs must be built with the same fences as any other.
+	// Primary rows carry a decodable time range and sketch bbox, so their
+	// run blocks get fences and fence-aware push-down filters can prune
+	// whole blocks. The ST secondary gets key-derived fences (bin interval
+	// × element rectangle): its query windows coarsen under the window
+	// budget, and fences recover the pruning the collapsed spatial
+	// dimension gave up. The other secondaries keep plain runs — their
+	// windows are already exact at index granularity.
+	fences := []kvstore.TableFence{{Table: tablePrimary, Extract: rowFence}, {Table: tableST, Extract: e.stIndexFence}}
+	if cfg.DataDir != "" {
+		e.store, err = kvstore.OpenDir(cfg.DataDir, cfg.KV, fences...)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		e.store = kvstore.Open(cfg.KV, fences...)
+	}
+
 	// OpenTable is idempotent: on a recovered store the tables already
 	// exist with their data.
 	e.primary = e.store.OpenTable(tablePrimary)
@@ -121,16 +132,6 @@ func New(cfg Config) (*Engine, error) {
 	e.dirTable = e.store.OpenTable(tableShapeDir)
 	e.bufTable = e.store.OpenTable(tableBufShapes)
 	e.meta = e.store.OpenTable(tableMeta)
-	// Primary rows carry a decodable time range and sketch bbox, so their
-	// run blocks get fences and fence-aware push-down filters can prune
-	// whole blocks. The ST secondary gets key-derived fences (bin interval
-	// × element rectangle): its query windows coarsen under the window
-	// budget, and fences recover the pruning the collapsed spatial
-	// dimension gave up. The other secondaries keep plain runs — their
-	// windows are already exact at index granularity. No-op under
-	// DisableBlockFormat/DisableBlockFences.
-	e.primary.SetFenceExtractor(rowFence)
-	e.stTable.SetFenceExtractor(e.stIndexFence)
 
 	if cfg.UseIndexCache && cfg.Spatial == KindTShape {
 		e.icache = cache.NewIndexCacheSharded(cfg.CacheCapacity, cfg.CacheShards, newKVDirectory(e.dirTable))

@@ -12,29 +12,29 @@ import (
 	"github.com/tman-db/tman/internal/model"
 )
 
-// qpBenchState is built once per knob pair and shared across client-count
-// sub-benchmarks so the (expensive) data load does not repeat.
+// qpBenchState is built once and shared across client-count sub-benchmarks
+// so the (expensive) data load does not repeat.
 type qpBenchState struct {
 	engine  *Engine
 	queries []qpWorkloadQuery
 }
 
-var qpBenchStates sync.Map // "shards/plan" -> *qpBenchState
+var qpBench *qpBenchState
 
 // qpBenchSetup loads 3000 trajectories and a 256-query mixed workload
 // (spatial / temporal / spatio-temporal / id-temporal) into an engine with
-// the given cache knobs. The simulated cluster network is zeroed out (as in
-// BenchmarkSRQHot) so the measurement is the in-process query-serving path:
-// cache locking, plan generation, scan + decode.
-func qpBenchSetup(b *testing.B, cacheShards, planCacheSize int) *qpBenchState {
+// the serving cache knobs (16 LFU shards, 1024 memoized plans). The
+// simulated cluster network is zeroed out (as in BenchmarkSRQHot) so the
+// measurement is the in-process query-serving path: cache locking, plan
+// generation, scan + decode.
+func qpBenchSetup(b *testing.B) *qpBenchState {
 	b.Helper()
-	key := fmt.Sprintf("%d/%d", cacheShards, planCacheSize)
-	if st, ok := qpBenchStates.Load(key); ok {
-		return st.(*qpBenchState)
+	if qpBench != nil {
+		return qpBench
 	}
 	cfg := testConfig()
-	cfg.CacheShards = cacheShards
-	cfg.PlanCacheSize = planCacheSize
+	cfg.CacheShards = 16
+	cfg.PlanCacheSize = 1024
 	cfg.KV.RPCLatencyMicros = 0
 	cfg.KV.TransferMBps = 0
 	cfg.KV.DiskMBps = 0
@@ -59,9 +59,8 @@ func qpBenchSetup(b *testing.B, cacheShards, planCacheSize int) *qpBenchState {
 			b.Fatal(err)
 		}
 	}
-	st := &qpBenchState{engine: e, queries: queries}
-	qpBenchStates.Store(key, st)
-	return st
+	qpBench = &qpBenchState{engine: e, queries: queries}
+	return qpBench
 }
 
 // benchClients drains b.N queries of the mixed workload through n
@@ -123,19 +122,7 @@ func benchClients(b *testing.B, st *qpBenchState, clients int) {
 func BenchmarkQueryPathConcurrent(b *testing.B) {
 	for _, clients := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			st := qpBenchSetup(b, 16, 1024)
-			benchClients(b, st, clients)
-		})
-	}
-}
-
-// BenchmarkQueryPathBaseline is the pre-PR configuration — single-mutex
-// LFU, no plan cache — on the identical workload, for the speedup ratio in
-// EXPERIMENTS.md.
-func BenchmarkQueryPathBaseline(b *testing.B) {
-	for _, clients := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			st := qpBenchSetup(b, 1, -1)
+			st := qpBenchSetup(b)
 			benchClients(b, st, clients)
 		})
 	}

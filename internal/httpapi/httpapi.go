@@ -19,6 +19,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -219,13 +220,24 @@ func fromModel(t *tman.Trajectory) TrajectoryJSON {
 	return out
 }
 
+// maxIngestBodyBytes caps one ingest request body. The whole batch is
+// decoded into memory before anything is stored, so an unbounded body is an
+// unbounded allocation; 32 MiB is far above any sane batch (500 trajectories
+// are on the order of 1 MiB of JSON).
+const maxIngestBodyBytes = 32 << 20
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPut && r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "use PUT or POST")
 		return
 	}
 	var in []TrajectoryJSON
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBodyBytes)).Decode(&in); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "ingest body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}

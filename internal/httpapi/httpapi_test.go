@@ -332,3 +332,47 @@ func TestSpaceTimeMissingTimeParams(t *testing.T) {
 		t.Errorf("missing time params: status %d", resp.StatusCode)
 	}
 }
+
+// An ingest body past the cap is refused with 413 before it is buffered;
+// whitespace keeps the JSON decoder reading until the limit trips.
+func TestIngestBodyTooLargeIs413(t *testing.T) {
+	ts, db := newTestServer(t)
+	body := append([]byte("["), bytes.Repeat([]byte(" "), maxIngestBodyBytes+1)...)
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/trajectories", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest: status %d, want 413", resp.StatusCode)
+	}
+	if db.Len() != 0 {
+		t.Fatalf("oversized ingest stored %d trajectories", db.Len())
+	}
+}
+
+// The cap must sit far above real batches: 2 MiB of JSON lands whole.
+func TestIngestTwoMiBBatchLands(t *testing.T) {
+	ts, db := newTestServer(t)
+	base := int64(1_700_000_000_000)
+	batch := make([]TrajectoryJSON, 250)
+	for i := range batch {
+		tj := TrajectoryJSON{OID: fmt.Sprintf("car-%d", i%20), TID: fmt.Sprintf("big-%04d", i)}
+		for j := 0; j < 200; j++ {
+			tj.Points = append(tj.Points, PointJSON{
+				X: 116.1234567 + float64(i)*0.0011 + float64(j)*0.0001234,
+				Y: 39.7654321 + float64(j)*0.0001432,
+				T: base + int64(i)*1000 + int64(j)*15_000,
+			})
+		}
+		batch[i] = tj
+	}
+	if body, _ := json.Marshal(batch); len(body) < 2<<20 {
+		t.Fatalf("batch is only %d bytes of JSON, want ≥ 2 MiB", len(body))
+	}
+	ingest(t, ts, batch...)
+	if db.Len() != int64(len(batch)) {
+		t.Fatalf("Len = %d after a %d-trajectory batch", db.Len(), len(batch))
+	}
+}

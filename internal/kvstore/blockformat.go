@@ -58,10 +58,9 @@ var ErrBlockCorrupt = errors.New("kvstore: corrupt block")
 
 // blockConfig is the store-wide block-format configuration shared by every
 // region: geometry, filter density, the shared cache tier, and the stats
-// sink for block/bloom counters. A nil *blockConfig on a region selects the
-// legacy decoded-slice run format. Tables that want block fences derive a
-// copy with the fence extractor set (Table.SetFenceExtractor), so the type
-// must stay copyable — run ids come from the process-wide blockRunSeq.
+// sink for block/bloom counters. A table opened with a fence extractor
+// derives a copy with fence set (see newTable), so the type must stay
+// copyable — run ids come from the process-wide blockRunSeq.
 type blockConfig struct {
 	blockBytes int
 	bloomBits  int
@@ -82,8 +81,9 @@ type blockIndexEntry struct {
 	count    int
 }
 
-// blockRun is the block-mode payload of a sortedRun: encoded blocks plus
-// the resident metadata needed to route reads.
+// blockRun is an immutable, key-ordered run produced by a memtable flush or
+// a compaction: encoded blocks plus the resident metadata needed to route
+// reads. Newer runs shadow older ones.
 type blockRun struct {
 	cfg      *blockConfig
 	id       uint64
@@ -91,8 +91,13 @@ type blockRun struct {
 	index    []blockIndexEntry
 	filter   *bloom
 	count    int // total entries
-	rawBytes int // decoded key+value bytes
+	rawBytes int // decoded key+value bytes — what region sizing, splits and the tier policy read
 	encBytes int // encoded block bytes — the run's "disk" footprint
+
+	// group links the key-disjoint fragments of one partitioned compaction:
+	// consecutive runs sharing a nonzero group id are one logical run to the
+	// tier policy (see compaction.go). 0 = ungrouped.
+	group uint64
 
 	// Block fences (nil when the run was built without a fence extractor or
 	// the blob failed validation — both degrade every block to Inspect).
@@ -145,6 +150,15 @@ type blockBuilder struct {
 
 func newBlockBuilder(cfg *blockConfig) *blockBuilder {
 	return &blockBuilder{cfg: cfg}
+}
+
+// newRunFromEntries encodes key-ascending entries into a run.
+func newRunFromEntries(cfg *blockConfig, entries []entry) *blockRun {
+	b := newBlockBuilder(cfg)
+	for i := range entries {
+		b.add(entries[i].key, entries[i].value, entries[i].tomb)
+	}
+	return b.finish()
 }
 
 // add appends one entry; keys must arrive in strictly ascending order.
@@ -572,13 +586,23 @@ func (br *blockRun) materialize() []entry {
 }
 
 // windowCount upper-bounds the entries in blocks [lo, hi] — the scan
-// capacity hint, mirroring the legacy window size.
+// capacity hint.
 func (br *blockRun) windowCount(lo, hi int) int {
 	n := 0
 	for i := lo; i <= hi && i < len(br.index); i++ {
 		if i >= 0 {
 			n += br.index[i].count
 		}
+	}
+	return n
+}
+
+// residentBytes is the run's actual memory footprint: encoded blocks plus
+// sparse index and filter.
+func (br *blockRun) residentBytes() int {
+	n := br.encBytes + br.filter.sizeBytes()
+	for i := range br.index {
+		n += len(br.index[i].firstKey) + 16
 	}
 	return n
 }

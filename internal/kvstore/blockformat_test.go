@@ -37,20 +37,12 @@ func buildEntries(n int, seed int64) []entry {
 	return out
 }
 
-func buildRun(cfg *blockConfig, es []entry) *blockRun {
-	b := newBlockBuilder(cfg)
-	for i := range es {
-		b.add(es[i].key, es[i].value, es[i].tomb)
-	}
-	return b.finish()
-}
-
 func TestBlockRoundTrip(t *testing.T) {
 	for _, blockBytes := range []int{512, 4 << 10, 1 << 20} {
 		t.Run(fmt.Sprintf("block%d", blockBytes), func(t *testing.T) {
 			es := buildEntries(2000, 42)
 			cfg := testBlockConfig(blockBytes, 10)
-			br := buildRun(cfg, es)
+			br := newRunFromEntries(cfg, es)
 
 			if !entriesEqual(br.materialize(), es) {
 				t.Fatal("materialize does not round-trip the input entries")
@@ -107,7 +99,7 @@ func TestBlockRoundTrip(t *testing.T) {
 
 func TestBlockRunGet(t *testing.T) {
 	es := buildEntries(1500, 7)
-	br := buildRun(testBlockConfig(1024, 10), es)
+	br := newRunFromEntries(testBlockConfig(1024, 10), es)
 	for i := range es {
 		v, tomb, found, _ := br.get(es[i].key)
 		if !found {
@@ -126,7 +118,7 @@ func TestBlockRunGet(t *testing.T) {
 
 func TestBlockRunEmptyAndSingle(t *testing.T) {
 	cfg := testBlockConfig(4<<10, 10)
-	empty := buildRun(cfg, nil)
+	empty := newRunFromEntries(cfg, nil)
 	if empty.count != 0 || len(empty.blocks) != 0 || empty.filter != nil {
 		t.Fatalf("empty run: count=%d blocks=%d filter=%v", empty.count, len(empty.blocks), empty.filter)
 	}
@@ -137,7 +129,7 @@ func TestBlockRunEmptyAndSingle(t *testing.T) {
 		t.Fatalf("empty run materializes %d entries", len(got))
 	}
 
-	single := buildRun(cfg, []entry{{key: []byte("only"), value: []byte("v"), tomb: false}})
+	single := newRunFromEntries(cfg, []entry{{key: []byte("only"), value: []byte("v"), tomb: false}})
 	if single.count != 1 || len(single.blocks) != 1 {
 		t.Fatalf("single-entry run: count=%d blocks=%d", single.count, len(single.blocks))
 	}
@@ -153,7 +145,7 @@ func TestBlockRunEmptyAndSingle(t *testing.T) {
 // TestDecodeBlockTruncation feeds every proper prefix of a valid block to
 // the decoder: all must fail with ErrBlockCorrupt, none may panic.
 func TestDecodeBlockTruncation(t *testing.T) {
-	br := buildRun(testBlockConfig(1024, 0), buildEntries(300, 3))
+	br := newRunFromEntries(testBlockConfig(1024, 0), buildEntries(300, 3))
 	enc := br.blocks[0]
 	for n := 0; n < len(enc); n++ {
 		func() {
@@ -172,7 +164,7 @@ func TestDecodeBlockTruncation(t *testing.T) {
 // TestDecodeBlockBitFlips flips one bit at every byte offset: the checksum
 // must reject every single-bit corruption.
 func TestDecodeBlockBitFlips(t *testing.T) {
-	br := buildRun(testBlockConfig(2048, 0), buildEntries(400, 9))
+	br := newRunFromEntries(testBlockConfig(2048, 0), buildEntries(400, 9))
 	enc := br.blocks[0]
 	mut := make([]byte, len(enc))
 	for off := 0; off < len(enc); off++ {
@@ -194,7 +186,7 @@ func refix(enc []byte) []byte {
 // TestDecodeBlockTamperedStructures corrupts specific header fields and
 // repairs the checksum: the structural validation must still reject each.
 func TestDecodeBlockTamperedStructures(t *testing.T) {
-	br := buildRun(testBlockConfig(1024, 0), buildEntries(200, 11))
+	br := newRunFromEntries(testBlockConfig(1024, 0), buildEntries(200, 11))
 	base := br.blocks[0]
 
 	tamper := func(name string, mutate func(enc []byte) []byte) {
@@ -259,11 +251,71 @@ func TestBloomProperties(t *testing.T) {
 	}
 }
 
+// TestBlockCacheWarmScanCheaper is the headline perf property: repeating a
+// scan with a warm block cache charges strictly less simulated disk I/O
+// than the cold pass, because resident decoded blocks cost nothing.
+func TestBlockCacheWarmScanCheaper(t *testing.T) {
+	bs, blockTbl := churnStore(t)
+
+	cold := bs.Stats().Snapshot()
+	blockTbl.Scan(nil, nil, nil, 0)
+	coldDiff := Diff(cold, bs.Stats().Snapshot())
+
+	warm := bs.Stats().Snapshot()
+	blockTbl.Scan(nil, nil, nil, 0)
+	warmDiff := Diff(warm, bs.Stats().Snapshot())
+
+	if coldDiff.BlockCacheMisses == 0 {
+		t.Fatal("cold scan fetched no blocks — workload never flushed?")
+	}
+	if warmDiff.BlockCacheHits == 0 {
+		t.Fatal("warm scan hit no cached blocks")
+	}
+	if warmDiff.BlockReadBytes >= coldDiff.BlockReadBytes {
+		t.Fatalf("warm scan read %d encoded bytes, cold read %d — cache bought nothing",
+			warmDiff.BlockReadBytes, coldDiff.BlockReadBytes)
+	}
+	if warmDiff.SimIONanos >= coldDiff.SimIONanos {
+		t.Fatalf("warm scan charged %dns, cold charged %dns — warm must be cheaper",
+			warmDiff.SimIONanos, coldDiff.SimIONanos)
+	}
+}
+
+// TestBloomSkipsPointLookups: gets for keys that miss every run must be
+// answered mostly by bloom negatives, without touching blocks.
+func TestBloomSkipsPointLookups(t *testing.T) {
+	bs, blockTbl := churnStore(t)
+
+	before := bs.Stats().Snapshot()
+	const probes = 3000
+	for i := 0; i < probes; i++ {
+		if _, ok := blockTbl.Get([]byte(fmt.Sprintf("absent/%08d", i))); ok {
+			t.Fatalf("absent key %d found", i)
+		}
+	}
+	d := Diff(before, bs.Stats().Snapshot())
+	if d.BloomChecks == 0 {
+		t.Fatal("no bloom checks recorded")
+	}
+	// Absent keys should be rejected by the filter almost always; block
+	// fetches happen only on the ~1% false positives.
+	if d.BloomNegatives < d.BloomChecks*9/10 {
+		t.Fatalf("bloom rejected %d of %d checks — filter ineffective", d.BloomNegatives, d.BloomChecks)
+	}
+	if d.BloomFalsePositives > d.BloomChecks/10 {
+		t.Fatalf("%d false positives in %d checks", d.BloomFalsePositives, d.BloomChecks)
+	}
+	if d.BlockCacheMisses+d.BlockCacheHits > d.BloomFalsePositives {
+		t.Fatalf("%d block fetches for %d false positives — gets bypassing the filter",
+			d.BlockCacheMisses+d.BlockCacheHits, d.BloomFalsePositives)
+	}
+}
+
 // FuzzDecodeBlock throws arbitrary bytes at the decoder. It must never
 // panic, and anything it accepts must satisfy the format's invariants.
 func FuzzDecodeBlock(f *testing.F) {
 	for _, blockBytes := range []int{256, 1024} {
-		br := buildRun(testBlockConfig(blockBytes, 0), buildEntries(200, int64(blockBytes)))
+		br := newRunFromEntries(testBlockConfig(blockBytes, 0), buildEntries(200, int64(blockBytes)))
 		for _, blk := range br.blocks {
 			f.Add(append([]byte(nil), blk...))
 		}

@@ -8,12 +8,11 @@ import (
 
 // Tiered parallel compaction.
 //
-// The legacy policy merged every run into one whenever the run count crossed
-// maxRuns, so a region ingesting N bytes rewrote O(N²/flushBytes) bytes over
-// its lifetime. The tiered policy groups runs into power-of-two size tiers
-// and merges a bounded fan-in of same-tier neighbours, leaving larger tiers
-// untouched: each byte is rewritten once per tier it climbs, O(log(size))
-// times total.
+// Merging every run into one whenever the run count crosses maxRuns makes a
+// region ingesting N bytes rewrite O(N²/flushBytes) bytes over its lifetime.
+// The tiered policy groups runs into power-of-two size tiers and merges a
+// bounded fan-in of same-tier neighbours, leaving larger tiers untouched:
+// each byte is rewritten once per tier it climbs, O(log(size)) times total.
 //
 // Correctness invariants:
 //
@@ -43,9 +42,8 @@ import (
 // compactPolicy is the per-region compaction tuning, copied from Options at
 // region construction so every run-set mutator sees one consistent policy.
 type compactPolicy struct {
-	fanIn      int  // same-tier runs merged per compaction (>= 2)
-	subRanges  int  // max key-range partitions of one merge (>= 1)
-	monolithic bool // legacy policy: merge all runs on every maxRuns crossing
+	fanIn     int // same-tier runs merged per compaction (>= 2)
+	subRanges int // max key-range partitions of one merge (>= 1)
 }
 
 // subCompactMinBytes is the smallest merge input worth partitioning: below
@@ -68,14 +66,14 @@ type logicalRun struct {
 
 // logicalRuns coalesces the physical run list into policy units, oldest
 // first.
-func logicalRuns(runs []*sortedRun) []logicalRun {
+func logicalRuns(runs []*blockRun) []logicalRun {
 	ls := make([]logicalRun, 0, len(runs))
 	for i := 0; i < len(runs); {
 		j := i + 1
-		b := runs[i].bytes
+		b := runs[i].rawBytes
 		if g := runs[i].group; g != 0 {
 			for j < len(runs) && runs[j].group == g {
-				b += runs[j].bytes
+				b += runs[j].rawBytes
 				j++
 			}
 		}
@@ -104,7 +102,7 @@ func runTier(bytes int) int {
 // with the smallest combined bytes (cheapest way to bound read
 // amplification). Larger tiers are never touched just because small ones
 // churn — that is the whole write-amplification win.
-func pickCompaction(runs []*sortedRun, pol compactPolicy, maxRuns int) (lo, hi int, ok bool) {
+func pickCompaction(runs []*blockRun, pol compactPolicy, maxRuns int) (lo, hi int, ok bool) {
 	ls := logicalRuns(runs)
 	if len(ls) < 2 {
 		return 0, 0, false
@@ -139,48 +137,69 @@ func pickCompaction(runs []*sortedRun, pol compactPolicy, maxRuns int) (lo, hi i
 
 // subRangeBounds picks up to subRanges-1 ascending split keys partitioning a
 // merge window into independent key ranges, or nil to run unpartitioned.
-// Split points come from the largest input run — its sparse block index in
-// block mode (free: the index is resident), its entry slice in legacy mode —
-// so sub-ranges are roughly byte-balanced. A pure function of the window.
-func subRangeBounds(group []*sortedRun, pol compactPolicy, inputBytes int64) [][]byte {
+// Split points come from the largest input run's sparse block index (free:
+// the index is resident), so sub-ranges are roughly byte-balanced. A pure
+// function of the window.
+func subRangeBounds(group []*blockRun, pol compactPolicy, inputBytes int64) [][]byte {
 	if pol.subRanges <= 1 || inputBytes < subCompactMinBytes {
 		return nil
 	}
 	big := group[0]
 	for _, run := range group[1:] {
-		if run.bytes > big.bytes {
+		if run.rawBytes > big.rawBytes {
 			big = run
 		}
 	}
+	idx := big.index
+	if len(idx) < 2 {
+		return nil
+	}
 	var keys [][]byte
-	pick := func(k []byte) {
+	for s := 1; s < pol.subRanges; s++ {
+		i := s * len(idx) / pol.subRanges
+		if i == 0 {
+			continue
+		}
+		k := idx[i].firstKey
 		if len(keys) > 0 && string(keys[len(keys)-1]) >= string(k) {
-			return // duplicate or non-ascending stride point: skip
+			continue // duplicate stride point
 		}
 		keys = append(keys, k)
 	}
-	if big.br != nil {
-		idx := big.br.index
-		if len(idx) < 2 {
-			return nil
-		}
-		for s := 1; s < pol.subRanges; s++ {
-			if i := s * len(idx) / pol.subRanges; i > 0 {
-				pick(idx[i].firstKey)
-			}
-		}
-	} else {
-		es := big.entries
-		if len(es) < 2 {
-			return nil
-		}
-		for s := 1; s < pol.subRanges; s++ {
-			if i := s * len(es) / pol.subRanges; i > 0 {
-				pick(es[i].key)
-			}
-		}
-	}
 	return keys
+}
+
+// mergeRunWindow merges the [lo, hi) key window of oldest-first runs into
+// one run — the unit of a key-range-partitioned sub-compaction (nil bounds
+// merge everything: a full compaction). If dropTombs is false, tombstones
+// are preserved in the output so they keep shadowing older runs below the
+// merge window. The sources stream block-by-block through cursors into a
+// new block builder — the decoded working set is one block per source,
+// never the whole window — and the merge bypasses the block cache so
+// compactions don't evict the read path's working set.
+func mergeRunWindow(bcfg *blockConfig, runs []*blockRun, lo, hi []byte, dropTombs bool) *blockRun {
+	sc := getScanScratch(len(runs))
+	defer sc.release()
+	for i := len(runs) - 1; i >= 0; i-- { // newest first = lowest priority
+		sc.cursors = append(sc.cursors, mergeCursor{})
+		// Compaction merges carry no filter: every surviving row must be
+		// rewritten, so no fence pruning applies (fences for the output
+		// run are recomputed by the builder below).
+		sc.cursors[len(sc.cursors)-1].initBlock(runs[i], lo, hi, len(runs)-1-i, true, nil, false, nil)
+	}
+	it := sc.start()
+	b := newBlockBuilder(bcfg)
+	for {
+		e, _, ok := it.next()
+		if !ok {
+			break
+		}
+		if e.tomb && dropTombs {
+			continue
+		}
+		b.add(e.key, e.value, e.tomb)
+	}
+	return b.finish()
 }
 
 // compactGroup merges the age-contiguous window runs[lo:hi) into its
@@ -193,12 +212,12 @@ func subRangeBounds(group []*sortedRun, pol compactPolicy, inputBytes int64) [][
 //
 // The caller must hold flushMu (freezing the run set); region.mu is not
 // required: sub-merges read only the immutable snapshot.
-func (r *region) compactGroup(runs []*sortedRun, lo, hi int, stats *Stats, parallel bool) []*sortedRun {
+func (r *region) compactGroup(runs []*blockRun, lo, hi int, stats *Stats, parallel bool) []*blockRun {
 	group := runs[lo:hi]
 	dropTombs := lo == 0
 	var input int64
 	for _, run := range group {
-		input += int64(run.bytes)
+		input += int64(run.rawBytes)
 	}
 	// Side-band job record: wall-clock only, never feeds the deterministic
 	// counters below, so charging stays a pure function of the write
@@ -207,13 +226,13 @@ func (r *region) compactGroup(runs []*sortedRun, lo, hi int, stats *Stats, paral
 	start := time.Now()
 	bounds := subRangeBounds(group, r.cpol, input)
 
-	var frags []*sortedRun
+	var frags []*blockRun
 	if len(bounds) == 0 {
-		if out := mergeRunWindow(r.bcfg, group, nil, nil, dropTombs); out.numEntries() > 0 {
-			frags = []*sortedRun{out}
+		if out := mergeRunWindow(r.bcfg, group, nil, nil, dropTombs); out.count > 0 {
+			frags = []*blockRun{out}
 		}
 	} else {
-		outs := make([]*sortedRun, len(bounds)+1)
+		outs := make([]*blockRun, len(bounds)+1)
 		tasks := make([]func(), len(outs))
 		for s := range outs {
 			s := s
@@ -236,7 +255,7 @@ func (r *region) compactGroup(runs []*sortedRun, lo, hi int, stats *Stats, paral
 			}
 		}
 		for _, out := range outs {
-			if out.numEntries() > 0 {
+			if out.count > 0 {
 				frags = append(frags, out)
 			}
 		}
@@ -253,7 +272,7 @@ func (r *region) compactGroup(runs []*sortedRun, lo, hi int, stats *Stats, paral
 	stats.CompactStallNanos.Add(time.Since(start).Nanoseconds())
 	var output int64
 	for _, f := range frags {
-		output += int64(f.bytes)
+		output += int64(f.rawBytes)
 	}
 	job.AddBytesRead(input)
 	job.AddBytesWritten(output)
@@ -264,8 +283,8 @@ func (r *region) compactGroup(runs []*sortedRun, lo, hi int, stats *Stats, paral
 }
 
 // spliceRuns replaces runs[lo:hi) with frags in a fresh slice.
-func spliceRuns(runs []*sortedRun, lo, hi int, frags []*sortedRun) []*sortedRun {
-	out := make([]*sortedRun, 0, lo+len(frags)+len(runs)-hi)
+func spliceRuns(runs []*blockRun, lo, hi int, frags []*blockRun) []*blockRun {
+	out := make([]*blockRun, 0, lo+len(frags)+len(runs)-hi)
 	out = append(out, runs[:lo]...)
 	out = append(out, frags...)
 	out = append(out, runs[hi:]...)
@@ -277,18 +296,9 @@ func spliceRuns(runs []*sortedRun, lo, hi int, frags []*sortedRun) []*sortedRun 
 // each swap under a brief mu critical section is exact, and readers keep
 // scanning the pre-merge runs until the atomic splice.
 func (r *region) maintainRuns(stats *Stats) {
-	if r.cpol.monolithic {
-		r.mu.RLock()
-		over := len(r.runs) > r.maxRuns
-		r.mu.RUnlock()
-		if over {
-			r.compactOutOfLine(stats)
-		}
-		return
-	}
 	for {
 		r.mu.RLock()
-		snap := append([]*sortedRun(nil), r.runs...)
+		snap := append([]*blockRun(nil), r.runs...)
 		r.mu.RUnlock()
 		lo, hi, ok := pickCompaction(snap, r.cpol, r.maxRuns)
 		if !ok {
@@ -305,27 +315,6 @@ func (r *region) maintainRuns(stats *Stats) {
 // flushMu and mu (splits, CompactAll): merges run inline on the caller, with
 // counting identical to the background path.
 func (r *region) maintainRunsLocked(stats *Stats) {
-	if r.cpol.monolithic {
-		if len(r.runs) > r.maxRuns {
-			var input int64
-			for _, run := range r.runs {
-				input += int64(run.bytes)
-			}
-			job := r.jobs.Begin("compact", r.tname, r.id)
-			nRuns := int64(len(r.runs))
-			start := time.Now()
-			r.runs = []*sortedRun{mergeRunSlice(r.bcfg, r.runs)}
-			stats.Compactions.Add(1)
-			stats.BytesCompacted.Add(input)
-			stats.CompactStallNanos.Add(time.Since(start).Nanoseconds())
-			job.AddBytesRead(input)
-			job.AddBytesWritten(int64(r.runs[0].bytes))
-			job.AddItems(nRuns)
-			job.AddStall(time.Since(start))
-			r.jobs.End(job)
-		}
-		return
-	}
 	for {
 		lo, hi, ok := pickCompaction(r.runs, r.cpol, r.maxRuns)
 		if !ok {

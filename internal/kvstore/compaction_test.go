@@ -8,121 +8,13 @@ import (
 	"testing"
 )
 
-// tieredEquivStores builds two stores fed the identical deterministic
-// workload, differing only in compaction policy: A runs the tiered
-// partitioned scheduler, B the legacy monolithic rewrite.
-func tieredEquivStores(t *testing.T) (tieredTbl, monoTbl *Table, tiered, mono *Store) {
-	t.Helper()
-	mk := func(monolithic bool) (*Store, *Table) {
-		o := DefaultOptions()
-		o.MemtableFlushBytes = 16 << 10
-		o.RegionMaxBytes = 256 << 10
-		o.MonolithicCompaction = monolithic
-		s := Open(o)
-		tbl, err := s.CreateTable("t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		equivWorkload(tbl, 4321)
-		s.Quiesce()
-		return s, tbl
-	}
-	tiered, tieredTbl = mk(false)
-	mono, monoTbl = mk(true)
-	return tieredTbl, monoTbl, tiered, mono
-}
-
-// TestTieredMonolithicEquivalence pins the tentpole invariant: compaction
-// policy is pure physical reorganization, so every externally observable
-// result — full scans, bounded windows, filtered and limited scans, range
-// batches, point gets — is byte-identical between the tiered and monolithic
-// stores, and the cost-model counters the paper reports agree exactly.
-func TestTieredMonolithicEquivalence(t *testing.T) {
-	tieredTbl, monoTbl, ts, ms := tieredEquivStores(t)
-	defer ts.Close()
-	defer ms.Close()
-
-	sameKVs := func(name string, a, b []KV) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d rows (tiered) vs %d (monolithic)", name, len(a), len(b))
-		}
-		for i := range a {
-			if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
-				t.Fatalf("%s: row %d differs: %q vs %q", name, i, a[i].Key, b[i].Key)
-			}
-		}
-	}
-
-	tBefore, mBefore := ts.Stats().Snapshot(), ms.Stats().Snapshot()
-
-	// The six query fingerprints: full scan, bounded windows, limited scans,
-	// filtered scan, multi-range batch, and point gets.
-	sameKVs("full scan", tieredTbl.Scan(nil, nil, nil, 0), monoTbl.Scan(nil, nil, nil, 0))
-	for i := 0; i < 50; i++ {
-		lo := []byte(fmt.Sprintf("traj/%03d/", i*7%40))
-		hi := []byte(fmt.Sprintf("traj/%03d/%08d", i*7%40, 2500))
-		sameKVs("window", tieredTbl.Scan(lo, hi, nil, 0), monoTbl.Scan(lo, hi, nil, 0))
-		sameKVs("limited", tieredTbl.Scan(lo, nil, nil, 25), monoTbl.Scan(lo, nil, nil, 25))
-	}
-	f := FilterFunc(func(k, v []byte) bool { return len(v) > 100 })
-	sameKVs("filtered", tieredTbl.Scan(nil, nil, f, 0), monoTbl.Scan(nil, nil, f, 0))
-	var ranges []KeyRange
-	for i := 0; i < 40; i += 3 {
-		ranges = append(ranges, KeyRange{
-			Start: []byte(fmt.Sprintf("traj/%03d/", i)),
-			End:   []byte(fmt.Sprintf("traj/%03d/%08d", i, 4000)),
-		})
-	}
-	sameKVs("ranges", tieredTbl.ScanRanges(ranges, nil, 0), monoTbl.ScanRanges(ranges, nil, 0))
-	sameKVs("ranges-filtered", tieredTbl.ScanRanges(ranges, f, 200), monoTbl.ScanRanges(ranges, f, 200))
-
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 2000; i++ {
-		k := []byte(fmt.Sprintf("traj/%03d/%08d", rng.Intn(50), rng.Intn(6000)))
-		tv, tok := tieredTbl.Get(k)
-		mv, mok := monoTbl.Get(k)
-		if tok != mok || !bytes.Equal(tv, mv) {
-			t.Fatalf("get %q: tiered (%q, %v) vs monolithic (%q, %v)", k, tv, tok, mv, mok)
-		}
-	}
-
-	td, md := Diff(tBefore, ts.Stats().Snapshot()), Diff(mBefore, ms.Stats().Snapshot())
-	if td.RowsReturned != md.RowsReturned || td.BytesReturned != md.BytesReturned ||
-		td.Seeks != md.Seeks {
-		t.Fatalf("cost counters diverge: tiered {returned %d bytes %d seeks %d} vs monolithic {%d %d %d}",
-			td.RowsReturned, td.BytesReturned, td.Seeks,
-			md.RowsReturned, md.BytesReturned, md.Seeks)
-	}
-}
-
-// TestTieredRewritesLess pins the headline perf property at test scale: for
-// the same ingest, the tiered policy compacts strictly fewer bytes than the
-// monolithic one (the full-size ratio is measured by
-// BenchmarkSustainedIngest).
-func TestTieredRewritesLess(t *testing.T) {
-	_, _, ts, ms := tieredEquivStores(t)
-	defer ts.Close()
-	defer ms.Close()
-	tb := ts.Stats().BytesCompacted.Load()
-	mb := ms.Stats().BytesCompacted.Load()
-	if mb == 0 {
-		t.Fatal("monolithic store never compacted — workload too small")
-	}
-	if tb >= mb {
-		t.Fatalf("tiered compacted %d bytes, monolithic %d — no write-amp win", tb, mb)
-	}
-	t.Logf("bytes compacted: tiered=%d monolithic=%d (%.2fx less rewrite)",
-		tb, mb, float64(mb)/float64(tb))
-}
-
 // TestPickCompaction exercises the policy function directly on synthetic
-// run lists (pickCompaction reads only bytes and group).
+// run lists (pickCompaction reads only rawBytes and group).
 func TestPickCompaction(t *testing.T) {
-	mk := func(sizes ...int) []*sortedRun {
-		rs := make([]*sortedRun, len(sizes))
+	mk := func(sizes ...int) []*blockRun {
+		rs := make([]*blockRun, len(sizes))
 		for i, b := range sizes {
-			rs[i] = &sortedRun{bytes: b}
+			rs[i] = &blockRun{rawBytes: b}
 		}
 		return rs
 	}
@@ -174,15 +66,15 @@ func TestTombstoneSurvivesMidTierMerge(t *testing.T) {
 	// Build runs by hand through the region internals: old value, then a
 	// tombstone, then newer unrelated runs that merge above the bottom.
 	r := tbl.regions[0]
-	mkRun := func(k string, tomb bool, pad int) *sortedRun {
+	mkRun := func(k string, tomb bool, pad int) *blockRun {
 		e := entry{key: []byte(k), tomb: tomb}
 		if !tomb {
 			e.value = bytes.Repeat([]byte("v"), pad)
 		}
-		return newRunFromEntries(r.bcfg, []entry{e}, -1)
+		return newRunFromEntries(r.bcfg, []entry{e})
 	}
 	r.mu.Lock()
-	r.runs = []*sortedRun{
+	r.runs = []*blockRun{
 		mkRun("key", false, 10), // oldest: the live value
 		mkRun("key", true, 0),   // tombstone in a young run
 		mkRun("other-a", false, 8),
@@ -202,7 +94,7 @@ func TestTombstoneSurvivesMidTierMerge(t *testing.T) {
 	r.runs = spliceRuns(r.runs, 0, len(r.runs), frags)
 	total := 0
 	for _, run := range r.runs {
-		total += run.numEntries()
+		total += run.count
 	}
 	r.mu.Unlock()
 	if _, ok := tbl.Get([]byte("key")); ok {

@@ -208,9 +208,8 @@ func (in *faultInjector) markUnavailable(r *region) {
 // fraction of the region's bytes the operation actually rewrote (ceiling,
 // minimum one RPC when anything moved): the post-compaction blip is bounded
 // to the swapped tier instead of the whole region, so the tiered policy's
-// more frequent — but much smaller — merges don't inflate injected
-// unavailability over the legacy monolithic policy. Deterministic: both
-// arguments are pure functions of the write sequence.
+// frequent but small merges don't inflate injected unavailability.
+// Deterministic: both arguments are pure functions of the write sequence.
 func (in *faultInjector) markUnavailableBytes(r *region, swapped, total int) {
 	if in == nil || in.cfg.UnavailableRPCsAfterSplit <= 0 || swapped <= 0 {
 		return

@@ -186,7 +186,7 @@ func TestFenceTamperNeverSkips(t *testing.T) {
 			value: testFenceValue(int64(i), bytes.Repeat([]byte{byte(i)}, 20)),
 		})
 	}
-	br := buildRun(cfg, es)
+	br := newRunFromEntries(cfg, es)
 	if br.fences == nil || !br.runFence.valid {
 		t.Fatal("builder produced no fences")
 	}
@@ -224,7 +224,7 @@ func TestFenceTombstonePoisonsBlock(t *testing.T) {
 			tomb:  i == 150,
 		})
 	}
-	br := buildRun(cfg, es)
+	br := newRunFromEntries(cfg, es)
 	if br.runFence.valid {
 		t.Fatal("run-level fence valid despite a tombstone-bearing block")
 	}
@@ -251,12 +251,11 @@ func fenceEquivStore(t *testing.T, disableFences bool) (*Store, *Table) {
 	o.RegionMaxBytes = 128 << 10
 	o.BlockSizeBytes = 512
 	o.DisableBlockFences = disableFences
-	s := Open(o)
+	s := Open(o, TableFence{Table: "t", Extract: testFenceExtractor})
 	tbl, err := s.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.SetFenceExtractor(testFenceExtractor)
 	rng := rand.New(rand.NewSource(41))
 	payload := func() []byte {
 		p := make([]byte, 16+rng.Intn(64))
@@ -340,7 +339,7 @@ func TestFenceScanEquivalence(t *testing.T) {
 }
 
 // TestFenceDisabledOption: DisableBlockFences must leave runs fenceless —
-// the escape hatch — while returning identical scan results.
+// the unpruned reference — while returning identical scan results.
 func TestFenceDisabledOption(t *testing.T) {
 	s, tbl := fenceEquivStore(t, true)
 	ff := timeWindowFilter{lo: 1500, hi: 1600}

@@ -6,31 +6,29 @@ import (
 	"sync"
 )
 
-// K-way merge machinery shared by compaction (mergeRuns) and streaming
+// K-way merge machinery shared by compaction (mergeRunWindow) and streaming
 // region scans. Sources are ordered newest-to-oldest by priority; among
 // entries with equal keys the lowest priority (newest) wins and the
 // shadowed versions are skipped. A binary heap over the source cursors
 // makes each emitted entry O(log K) instead of the O(K) per-entry linear
-// minimum search the old merge performed.
+// minimum search.
 
-// mergeCursor is one source of a k-way merge. Three backing modes share
-// the struct: a key-sorted entry slice (a legacy run, or a pre-sliced
-// window of one), a block run streamed one decoded block at a time (br is
-// set; entries holds the current block and loadBlock refills it), or a
-// live skiplist walk bounded by hi when entries is nil. cur always points
-// at the current entry — into the slice/block, or at the cursor-owned
-// memEnt staging slot in skiplist mode — so comparisons and advances never
-// copy entries around.
+// mergeCursor is one source of a k-way merge. Two backing modes share the
+// struct: a block run streamed one decoded block at a time (br is set;
+// entries holds the current block and loadBlock refills it), or a live
+// skiplist walk bounded by hi when br is nil. cur always points at the
+// current entry — into the block, or at the cursor-owned memEnt staging
+// slot in skiplist mode — so comparisons and advances never copy entries
+// around.
 type mergeCursor struct {
-	// Slice mode; also the current decoded block in block mode.
-	entries []entry
-	pos     int
-	// Block mode: the source run, the next and last block to stream, and
-	// the exclusive upper bound applied to the final block. missBytes
-	// accumulates this cursor's charged scan bytes: encoded bytes fetched
-	// on cache misses for block runs, raw bytes of visited rows for
-	// skiplist walks (memory-tier rows keep the legacy per-row charge).
+	// Block mode: the source run, the current decoded block and position
+	// in it, the next and last block to stream, and the exclusive upper
+	// bound applied to the final block. missBytes accumulates this
+	// cursor's charged scan bytes: encoded bytes fetched on cache misses
+	// for block runs, raw bytes of visited rows for skiplist walks.
 	// nocache bypasses the block cache (compaction).
+	entries   []entry
+	pos       int
 	br        *blockRun
 	nextBlk   int
 	lastBlk   int
@@ -61,15 +59,6 @@ type mergeCursor struct {
 	pri int // lower = newer; tie-break for duplicate keys
 	cur *entry
 	ok  bool
-}
-
-// initSlice points the cursor at a key-sorted entry slice.
-func (c *mergeCursor) initSlice(entries []entry, pri int) {
-	*c = mergeCursor{entries: entries, pri: pri}
-	if len(entries) > 0 {
-		c.cur = &entries[0]
-		c.ok = true
-	}
 }
 
 // initMem points the cursor at a skiplist walk starting at start (already
@@ -231,17 +220,13 @@ func (c *mergeCursor) loadBlock() {
 
 // advance moves to the next entry; the cursor must be ok.
 func (c *mergeCursor) advance() {
-	if c.entries != nil {
+	if c.br != nil {
 		c.pos++
 		if c.pos < len(c.entries) {
 			c.cur = &c.entries[c.pos]
 			return
 		}
-		if c.br != nil {
-			c.loadBlock()
-			return
-		}
-		c.ok = false
+		c.loadBlock()
 		return
 	}
 	c.node = c.node.next[0]
@@ -315,8 +300,8 @@ func (m *mergeIter) next() (e entry, accepted, ok bool) {
 		e = *c.cur
 		accepted = c.accepted
 		c.advance()
-		// Runs normally hold unique keys, but dedup anyway so the merge
-		// contract is the same in both modes.
+		// Runs and memtables hold unique keys, but dedup anyway so the
+		// merge contract is the same with one source as with many.
 		for c.ok && bytes.Equal(c.cur.key, e.key) {
 			c.advance()
 		}
@@ -364,124 +349,6 @@ func (m *mergeIter) nextLinear() (entry, bool, bool) {
 	return e, accepted, true
 }
 
-// appendTo drains the iterator into out, optionally dropping tombstones —
-// the batch form compaction uses. The flat per-mode loops avoid the
-// per-entry call and copy overhead of next, which matters when merging
-// whole runs. The second result is the raw key+value byte total of the
-// appended entries, counted inline so no caller re-walks the output.
-func (m *mergeIter) appendTo(out []entry, dropTombs bool) ([]entry, int) {
-	rawBytes := 0
-	if c := m.single; c != nil {
-		for c.ok {
-			e := *c.cur
-			c.advance()
-			for c.ok && bytes.Equal(c.cur.key, e.key) {
-				c.advance()
-			}
-			if e.tomb && dropTombs {
-				continue
-			}
-			out = append(out, e)
-			rawBytes += len(e.key) + len(e.value)
-		}
-		return out, rawBytes
-	}
-	if m.linear {
-		allSlices := true
-		for _, c := range m.heap {
-			if c.entries == nil || c.br != nil {
-				allSlices = false
-				break
-			}
-		}
-		if allSlices {
-			return m.appendLinearSlices(out, dropTombs)
-		}
-		for len(m.heap) > 0 {
-			best := m.heap[0]
-			for _, c := range m.heap[1:] {
-				if mergeLess(c, best) {
-					best = c
-				}
-			}
-			e := *best.cur
-			for i := len(m.heap) - 1; i >= 0; i-- {
-				c := m.heap[i]
-				for c.ok && bytes.Equal(c.cur.key, e.key) {
-					c.advance()
-				}
-				if !c.ok {
-					last := len(m.heap) - 1
-					m.heap[i] = m.heap[last]
-					m.heap[last] = nil
-					m.heap = m.heap[:last]
-				}
-			}
-			if e.tomb && dropTombs {
-				continue
-			}
-			out = append(out, e)
-			rawBytes += len(e.key) + len(e.value)
-		}
-		return out, rawBytes
-	}
-	for len(m.heap) > 0 {
-		e := *m.heap[0].cur
-		m.advanceRoot()
-		for len(m.heap) > 0 && bytes.Equal(m.heap[0].cur.key, e.key) {
-			m.advanceRoot()
-		}
-		if e.tomb && dropTombs {
-			continue
-		}
-		out = append(out, e)
-		rawBytes += len(e.key) + len(e.value)
-	}
-	return out, rawBytes
-}
-
-// appendLinearSlices is the linear-mode drain when every live source is an
-// entry slice — the compaction shape. Working on raw slice positions keeps
-// the per-entry cost to bare index arithmetic: no cur pointer maintenance
-// and no advance calls. It consumes the cursors without updating cur/ok, so
-// it must fully drain (it does; m.heap ends empty).
-func (m *mergeIter) appendLinearSlices(out []entry, dropTombs bool) ([]entry, int) {
-	live := m.heap
-	rawBytes := 0
-	for len(live) > 0 {
-		best := live[0]
-		bk := best.entries[best.pos].key
-		for _, c := range live[1:] {
-			ck := c.entries[c.pos].key
-			cmp := bytes.Compare(ck, bk)
-			if cmp < 0 || (cmp == 0 && c.pri < best.pri) {
-				best, bk = c, ck
-			}
-		}
-		e := best.entries[best.pos]
-		for i := len(live) - 1; i >= 0; i-- {
-			c := live[i]
-			for c.pos < len(c.entries) && bytes.Equal(c.entries[c.pos].key, e.key) {
-				c.pos++
-			}
-			if c.pos >= len(c.entries) {
-				c.ok = false
-				last := len(live) - 1
-				live[i] = live[last]
-				live[last] = nil
-				live = live[:last]
-			}
-		}
-		if e.tomb && dropTombs {
-			continue
-		}
-		out = append(out, e)
-		rawBytes += len(e.key) + len(e.value)
-	}
-	m.heap = live
-	return out, rawBytes
-}
-
 // advanceRoot advances the root cursor and restores the heap invariant,
 // dropping the cursor when it is exhausted.
 func (m *mergeIter) advanceRoot() {
@@ -523,7 +390,7 @@ func (m *mergeIter) siftDown(i int) {
 // iterator) so steady-state scans and compactions allocate nothing for
 // their merge plumbing. Ownership rule: a scratch is private to one
 // scan/merge call; it must be released before returning and nothing taken
-// from it may be retained (cursors alias run entries and skiplist nodes).
+// from it may be retained (cursors alias decoded blocks and skiplist nodes).
 type scanScratch struct {
 	cursors []mergeCursor
 	ptrs    []*mergeCursor

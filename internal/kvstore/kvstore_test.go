@@ -75,7 +75,9 @@ func TestSkiplistOrderAndSeek(t *testing.T) {
 func TestMergeRunsShadowing(t *testing.T) {
 	newer := []entry{{key: []byte("a"), value: []byte("new")}, {key: []byte("c"), tomb: true}}
 	older := []entry{{key: []byte("a"), value: []byte("old")}, {key: []byte("b"), value: []byte("1")}, {key: []byte("c"), value: []byte("dead")}}
-	got, _ := mergeRuns([][]entry{newer, older}, true)
+	cfg := testBlockConfig(4<<10, 10)
+	runs := []*blockRun{newRunFromEntries(cfg, older), newRunFromEntries(cfg, newer)}
+	got := mergeRunWindow(cfg, runs, nil, nil, true).materialize()
 	if len(got) != 2 {
 		t.Fatalf("got %d entries, want 2: %+v", len(got), got)
 	}
@@ -86,7 +88,7 @@ func TestMergeRunsShadowing(t *testing.T) {
 		t.Errorf("entry b missing: %+v", got[1])
 	}
 	// Tombstones preserved when not dropping.
-	got, _ = mergeRuns([][]entry{newer, older}, false)
+	got = mergeRunWindow(cfg, runs, nil, nil, false).materialize()
 	if len(got) != 3 || !got[2].tomb {
 		t.Errorf("tombstone should be preserved: %+v", got)
 	}

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"fmt"
 	"testing"
+
+	"github.com/tman-db/tman/internal/cache"
 )
 
 // Benchmarks for the overhauled read path: k-way run merging, hot-region
@@ -33,26 +35,32 @@ func buildMergeSources(k, total int) [][]entry {
 	return sources
 }
 
-func benchmarkMergeRuns(b *testing.B, k int) {
-	sources := buildMergeSources(k, 65536)
+// benchmarkBlockMerge times the compaction merge: k block runs streamed
+// through cursors into a new run, tombstones dropped, cache bypassed.
+func benchmarkBlockMerge(b *testing.B, k int) {
+	cfg := &blockConfig{blockBytes: 4 << 10, bloomBits: 10}
+	var runs []*blockRun
+	for _, src := range buildMergeSources(k, 65536) {
+		runs = append(runs, newRunFromEntries(cfg, src))
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		out, _ := mergeRuns(sources, true)
-		if len(out) == 0 {
+		if out := mergeRunWindow(cfg, runs, nil, nil, true); out.count == 0 {
 			b.Fatal("empty merge")
 		}
 	}
 }
 
-func BenchmarkMergeRuns4Sources(b *testing.B)  { benchmarkMergeRuns(b, 4) }
-func BenchmarkMergeRuns16Sources(b *testing.B) { benchmarkMergeRuns(b, 16) }
-func BenchmarkMergeRuns64Sources(b *testing.B) { benchmarkMergeRuns(b, 64) }
+func BenchmarkBlockMerge4Sources(b *testing.B)  { benchmarkBlockMerge(b, 4) }
+func BenchmarkBlockMerge16Sources(b *testing.B) { benchmarkBlockMerge(b, 16) }
+func BenchmarkBlockMerge64Sources(b *testing.B) { benchmarkBlockMerge(b, 64) }
 
 // BenchmarkRegionScan scans a hot region holding many uncompacted runs plus
 // a live memtable — the worst case for the merge layer.
 func BenchmarkRegionScan(b *testing.B) {
-	r := newRegion(1, nil, nil, 0, 1<<30, 1<<30, compactPolicy{fanIn: 4, subRanges: 1}, nil, nil) // thresholds disable auto flush/compact; nil bcfg = legacy runs
+	bcfg := &blockConfig{blockBytes: 4 << 10, bloomBits: 10, cache: cache.NewBlockCache(32<<20, 0)}
+	r := newRegion(1, nil, nil, 0, 1<<30, 1<<30, compactPolicy{fanIn: 4, subRanges: 1}, nil, bcfg) // thresholds disable auto flush/compact
 	var sink Stats
 	const runs, perRun = 16, 2000
 	for runIdx := 0; runIdx < runs; runIdx++ {
@@ -225,7 +233,7 @@ func BenchmarkBlockBuild(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		if r := newRunFromEntries(cfg, es, -1); r.numEntries() != len(es) {
+		if r := newRunFromEntries(cfg, es); r.count != len(es) {
 			b.Fatal("bad run")
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/tman-db/tman/internal/obs"
 )
@@ -27,9 +26,9 @@ type region struct {
 	startKey []byte // inclusive; nil = -inf
 	endKey   []byte // exclusive; nil = +inf
 	mem      *skiplist
-	imm      []*skiplist  // sealed memtables awaiting flush, oldest first
-	runs     []*sortedRun // oldest first: flushes append, so the newest run is last
-	id       int64        // store-unique id, stable for a deterministic load order
+	imm      []*skiplist // sealed memtables awaiting flush, oldest first
+	runs     []*blockRun // oldest first: flushes append, so the newest run is last
+	id       int64       // store-unique id, stable for a deterministic load order
 
 	// node is the owning node id. Atomic because failover re-homes the
 	// region to the promoted follower's node while scans read it unlocked
@@ -43,13 +42,13 @@ type region struct {
 
 	flushBytes int
 	maxRuns    int
-	cpol       compactPolicy // tiered/monolithic compaction tuning; see compaction.go
+	cpol       compactPolicy // tiered compaction tuning; see compaction.go
 	fl         *flusher      // store's background flusher; nil only in unit fixtures
 
-	// bcfg selects the run format: the store-wide block configuration
-	// (block runs, shared cache, bloom filters), or nil for the legacy
-	// decoded-slice format. All regions of a store share one value, so
-	// every run a region ever holds is in one format.
+	// bcfg is the owning table's block configuration (geometry, shared
+	// cache, bloom density, fence extractor) every run of this region is
+	// built with. Set at construction and never rewritten, so flushes read
+	// it without a lock.
 	bcfg *blockConfig
 
 	// flushMu serializes run-set mutators; see the lock-order note above.
@@ -274,48 +273,20 @@ func (r *region) flushOldestImm(stats *Stats) bool {
 	r.mu.RUnlock()
 
 	job := r.jobs.Begin("flush", r.tname, r.id)
-	entries, rawBytes := m.drain()
-	run := newRunFromEntries(r.bcfg, entries, rawBytes)
+	entries := m.drain()
+	run := newRunFromEntries(r.bcfg, entries)
 	r.mu.Lock()
 	r.imm = r.imm[1:]
 	r.runs = append(r.runs, run)
 	r.mu.Unlock()
 	stats.Flushes.Add(1)
-	stats.BytesFlushed.Add(int64(run.bytes))
-	job.AddBytesRead(int64(rawBytes))
-	job.AddBytesWritten(int64(run.bytes))
+	stats.BytesFlushed.Add(int64(run.rawBytes))
+	job.AddBytesRead(int64(run.rawBytes))
+	job.AddBytesWritten(int64(run.rawBytes))
 	job.AddItems(int64(len(entries)))
 	r.jobs.End(job)
 	r.maintainRuns(stats)
 	return true
-}
-
-// compactOutOfLine is the legacy monolithic compaction: merge all runs into
-// one without holding region.mu for the merge. Caller holds flushMu, so the
-// run set cannot change underneath the merge and the swap is exact.
-func (r *region) compactOutOfLine(stats *Stats) {
-	r.mu.RLock()
-	snap := make([]*sortedRun, len(r.runs))
-	copy(snap, r.runs)
-	r.mu.RUnlock()
-	var input int64
-	for _, run := range snap {
-		input += int64(run.bytes)
-	}
-	job := r.jobs.Begin("compact", r.tname, r.id)
-	start := time.Now()
-	merged := mergeRunSlice(r.bcfg, snap)
-	r.mu.Lock()
-	r.runs = []*sortedRun{merged}
-	r.mu.Unlock()
-	stats.Compactions.Add(1)
-	stats.BytesCompacted.Add(input)
-	stats.CompactStallNanos.Add(time.Since(start).Nanoseconds())
-	job.AddBytesRead(input)
-	job.AddBytesWritten(int64(merged.bytes))
-	job.AddItems(int64(len(snap)))
-	job.AddStall(time.Since(start))
-	r.jobs.End(job)
 }
 
 // drainImmsLocked converts every pending immutable memtable into a run with
@@ -330,11 +301,10 @@ func (r *region) drainImmsLocked(stats *Stats) {
 		if m.size == 0 {
 			continue
 		}
-		entries, rawBytes := m.drain()
-		run := newRunFromEntries(r.bcfg, entries, rawBytes)
+		run := newRunFromEntries(r.bcfg, m.drain())
 		r.runs = append(r.runs, run)
 		stats.Flushes.Add(1)
-		stats.BytesFlushed.Add(int64(run.bytes))
+		stats.BytesFlushed.Add(int64(run.rawBytes))
 		r.maintainRunsLocked(stats)
 	}
 	r.imm = nil
@@ -370,10 +340,9 @@ func (r *region) get(key []byte) (value []byte, ok bool) {
 }
 
 // scanAcct is one region scan's resource account: the bytes of rows visited
-// (the simulated disk-read volume), the rows visited, and — in block mode —
-// the fence/cache traffic behind them. It flows back per scan task so a
-// traced query can attribute cost per region instead of only to the global
-// counters.
+// (the simulated disk-read volume), the rows visited, and the fence/cache
+// traffic behind them. It flows back per scan task so a traced query can
+// attribute cost per region instead of only to the global counters.
 type scanAcct struct {
 	ScannedBytes  int64
 	RowsScanned   int64
@@ -396,10 +365,10 @@ func (a *scanAcct) add(b scanAcct) {
 // was reached, and the scan's resource account.
 //
 // The scan streams a heap merge over the live memtable, the sealed
-// immutables, and every run: each run is binary-search-seeked to the window
-// once, cursors advance in lockstep, and a limit stops the merge without
-// visiting (or copying) the rest of the window. No per-source sub-slices are
-// materialized.
+// immutables, and every run: each run's sparse index is binary-searched to
+// the window once and streamed block-by-block through the cache, cursors
+// advance in lockstep, and a limit stops the merge without visiting (or
+// fetching) the rest of the window.
 func (r *region) scan(start, end []byte, filter Filter, limit int, out []KV, stats *Stats, fenceBudget map[*blockRun]int64) (result []KV, hitLimit bool, acct scanAcct) {
 	lo := maxKey(start, r.startKey)
 	hi := minKey(end, r.endKey)
@@ -459,33 +428,14 @@ func (r *region) scan(start, end []byte, filter Filter, limit int, out []KV, sta
 	windowTotal := 0
 	for k := len(r.runs) - 1; k >= 0; k-- {
 		run := r.runs[k]
-		if run.br != nil {
-			// Block mode: stream the window block-by-block through the
-			// cache. Cursors whose window proves empty are kept so their
-			// charged probe misses still reach the scan's disk total.
-			sc.cursors = append(sc.cursors, mergeCursor{})
-			c := &sc.cursors[len(sc.cursors)-1]
-			c.initBlock(run.br, lo, hi, pri, false, ff, k < skipPrefix, fenceBudget)
-			if c.ok {
-				pri++
-				windowTotal += run.br.windowCount(c.nextBlk-1, c.lastBlk)
-			}
-			continue
-		}
-		i := 0
-		if lo != nil {
-			i = run.seek(lo)
-		}
-		j := len(run.entries)
-		if hi != nil {
-			j = run.seek(hi)
-		}
-		if j > i {
-			var c mergeCursor
-			c.initSlice(run.entries[i:j], pri)
-			sc.cursors = append(sc.cursors, c)
+		// Cursors whose window proves empty are kept so their charged
+		// probe misses still reach the scan's disk total.
+		sc.cursors = append(sc.cursors, mergeCursor{})
+		c := &sc.cursors[len(sc.cursors)-1]
+		c.initBlock(run, lo, hi, pri, false, ff, k < skipPrefix, fenceBudget)
+		if c.ok {
 			pri++
-			windowTotal += j - i
+			windowTotal += run.windowCount(c.nextBlk-1, c.lastBlk)
 		}
 	}
 
@@ -504,7 +454,6 @@ func (r *region) scan(start, end []byte, filter Filter, limit int, out []KV, sta
 		}
 	}
 
-	blockMode := r.bcfg != nil
 	it := sc.start()
 	for {
 		e, pre, ok := it.next()
@@ -513,9 +462,6 @@ func (r *region) scan(start, end []byte, filter Filter, limit int, out []KV, sta
 		}
 		if e.tomb {
 			continue
-		}
-		if !blockMode {
-			acct.ScannedBytes += int64(len(e.key) + len(e.value))
 		}
 		acct.RowsScanned++
 		if stats != nil {
@@ -536,18 +482,16 @@ func (r *region) scan(start, end []byte, filter Filter, limit int, out []KV, sta
 			break
 		}
 	}
-	if blockMode {
-		// Per-block charging: a run's scan cost is the encoded bytes of
-		// blocks actually fetched (cache misses charge, cache hits do not —
-		// that is the point of the tier), while memtable and immutable rows
-		// keep the per-row raw-byte charge accrued by their cursors.
-		for i := range sc.cursors {
-			c := &sc.cursors[i]
-			acct.ScannedBytes += c.missBytes
-			acct.BlocksSkipped += c.blocksSkipped
-			acct.CacheHits += c.cacheHits
-			acct.CacheMisses += c.cacheMisses
-		}
+	// Per-block charging: a run's scan cost is the encoded bytes of blocks
+	// actually fetched (cache misses charge, cache hits do not — that is the
+	// point of the tier), while memtable and immutable rows are charged the
+	// raw bytes of each row their cursors visit.
+	for i := range sc.cursors {
+		c := &sc.cursors[i]
+		acct.ScannedBytes += c.missBytes
+		acct.BlocksSkipped += c.blocksSkipped
+		acct.CacheHits += c.cacheHits
+		acct.CacheMisses += c.cacheMisses
 	}
 	r.hotRows.Add(acct.RowsScanned)
 	return out, hitLimit, acct
@@ -566,7 +510,7 @@ func (r *region) sizeLocked() int {
 		s += m.bytes
 	}
 	for _, run := range r.runs {
-		s += run.bytes
+		s += run.rawBytes
 	}
 	return s
 }
@@ -584,16 +528,16 @@ func (r *region) splitEntries(stats *Stats) (entries []entry, median []byte) {
 	defer r.mu.Unlock()
 	r.drainImmsLocked(stats)
 	if r.mem.size > 0 {
-		memEntries, memRaw := r.mem.drain()
-		r.runs = append(r.runs, newRunFromEntries(r.bcfg, memEntries, memRaw))
+		r.runs = append(r.runs, newRunFromEntries(r.bcfg, r.mem.drain()))
 		r.mem = newSkiplist(nextSkiplistSeed())
 	}
 	if len(r.runs) == 0 {
 		return nil, nil
 	}
 	// Always re-merge: even a single run may carry tombstones from a plain
-	// flush, and split children must start from live rows only.
-	r.runs = []*sortedRun{mergeRunSlice(r.bcfg, r.runs)}
+	// flush, and split children must start from live rows only (a region
+	// owns its whole key range, so nothing older can resurface).
+	r.runs = []*blockRun{mergeRunWindow(r.bcfg, r.runs, nil, nil, true)}
 	es := r.runs[0].materialize()
 	if len(es) < 2 {
 		return nil, nil

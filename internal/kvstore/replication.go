@@ -456,11 +456,11 @@ func (g *replGroup) snapshotCatchUpLocked(f *follower) {
 	fr.mem = newSkiplist(nextSkiplistSeed())
 	fr.imm = nil
 	if len(entries) > 0 {
-		// In block mode the snapshot crosses the wire as the encoded run —
-		// compressed blocks plus index and filter — not as decoded rows;
-		// CatchupShipBytes records the transferred volume in either format.
-		run := newRunFromEntries(fr.bcfg, entries, rawBytes)
-		fr.runs = []*sortedRun{run}
+		// The snapshot crosses the wire as the encoded run — compressed
+		// blocks plus index and filter — not as decoded rows;
+		// CatchupShipBytes records the transferred volume.
+		run := newRunFromEntries(fr.bcfg, entries)
+		fr.runs = []*blockRun{run}
 		g.store.stats.CatchupShipBytes.Add(int64(run.residentBytes()))
 		job.AddBytesWritten(int64(run.residentBytes()))
 	} else {
@@ -571,7 +571,7 @@ func (s *Store) initReplication(r *region) {
 	g := &replGroup{store: s, leader: r, tailMax: s.opts.ReplicaTailFrames}
 	leaderNode := int(r.node.Load())
 	r.mu.RLock()
-	seedRuns := append([]*sortedRun(nil), r.runs...)
+	seedRuns := append([]*blockRun(nil), r.runs...)
 	seedBytes := r.writeBytes.Load()
 	bcfg := r.bcfg // followers build runs exactly like their leader
 	r.mu.RUnlock()
@@ -580,7 +580,7 @@ func (s *Store) initReplication(r *region) {
 		node := (leaderNode + i) % s.opts.Nodes
 		fr := newRegion(s.nextRegionID(), r.startKey, r.endKey, node, r.flushBytes, r.maxRuns, r.cpol, s.fl, bcfg)
 		fr.tname, fr.jobs = r.tname, r.jobs
-		fr.runs = append([]*sortedRun(nil), seedRuns...)
+		fr.runs = append([]*blockRun(nil), seedRuns...)
 		fr.writeBytes.Store(seedBytes)
 		g.followers = append(g.followers, &follower{
 			reg:                fr,
@@ -597,24 +597,6 @@ func (s *Store) initReplication(r *region) {
 		g.lock()
 		g.failoverLocked()
 		g.unlock()
-	}
-}
-
-// setFollowerBlockConfig propagates a table-level block-config change (a
-// fence extractor installed after open) to r's replication followers, so
-// follower flushes and snapshot-catch-up rebuilds produce the same fenced
-// runs as the leader. No-op for unreplicated regions.
-func (s *Store) setFollowerBlockConfig(r *region, bcfg *blockConfig) {
-	g := r.rep
-	if g == nil {
-		return
-	}
-	g.lock()
-	defer g.unlock()
-	for _, f := range g.followers {
-		f.reg.mu.Lock()
-		f.reg.bcfg = bcfg
-		f.reg.mu.Unlock()
 	}
 }
 

@@ -232,17 +232,13 @@ type entry struct {
 	tomb  bool
 }
 
-// drain returns all entries in key order plus their raw key+value byte
-// total, counted during the walk so flush never re-walks the output to
-// size the run it builds.
-func (s *skiplist) drain() ([]entry, int) {
+// drain returns all entries in key order.
+func (s *skiplist) drain() []entry {
 	out := make([]entry, 0, s.size)
-	rawBytes := 0
 	for n := s.first(); n != nil; n = n.next[0] {
 		out = append(out, entry{key: n.key, value: n.value, tomb: n.tomb})
-		rawBytes += len(n.key) + len(n.value)
 	}
-	return out, rawBytes
+	return out
 }
 
 var skiplistSeed int64 = 1

@@ -22,8 +22,7 @@ type Options struct {
 	// MemtableFlushBytes triggers a memtable flush into a sorted run.
 	MemtableFlushBytes int
 	// MaxRunsPerRegion bounds a region's logical run count: the tiered
-	// policy falls back to cheapest-pair merges above it (and the legacy
-	// monolithic policy compacts everything on crossing it).
+	// policy falls back to cheapest-pair merges above it.
 	MaxRunsPerRegion int
 	// CompactFanIn is how many consecutive same-size-tier runs one tiered
 	// compaction merges (0 = 4, min 2). Larger fan-in lowers write
@@ -34,11 +33,6 @@ type Options struct {
 	// flusher pool (0 = 4; 1 disables partitioning). Merges under 4 MiB of
 	// input never partition.
 	CompactSubRanges int
-	// MonolithicCompaction reverts to the legacy policy: merge every run
-	// into one whenever the run count crosses MaxRunsPerRegion. Kept for
-	// the tiered/monolithic equivalence tests and A/B write-amplification
-	// measurement.
-	MonolithicCompaction bool
 	// Parallelism sizes the store's shared worker pool: the number of
 	// region scan/write tasks that may run concurrently store-wide, and
 	// therefore the parallelism ceiling of any single query or MultiPut.
@@ -79,9 +73,9 @@ type Options struct {
 	// DefaultRetryPolicy values.
 	Retry RetryPolicy
 
-	// BlockSizeBytes is the target encoded size of one run block in the
-	// block format (0 = 4KiB). Entries never split across blocks, so a
-	// block may exceed the target by one oversized row.
+	// BlockSizeBytes is the target encoded size of one run block (0 =
+	// 4KiB). Entries never split across blocks, so a block may exceed the
+	// target by one oversized row.
 	BlockSizeBytes int
 	// BloomBitsPerKey sizes each run's bloom filter (0 = 10 bits/key,
 	// roughly a 1% false-positive rate; negative disables the filters).
@@ -90,14 +84,11 @@ type Options struct {
 	// by their decoded size (0 = 32MiB; negative disables the cache, so
 	// every block read decodes — and is charged — from the encoded run).
 	BlockCacheBytes int
-	// DisableBlockFormat reverts runs to the legacy decoded-slice format:
-	// no blocks, no filters, no cache, and the cost model charges per row
-	// visited. Kept for the block/legacy equivalence tests.
-	DisableBlockFormat bool
 	// DisableBlockFences drops per-block fences (zone maps): runs carry no
-	// fence metadata and every scan inspects every overlapping block, as
-	// before fences existed. Kept as an escape hatch and for the
-	// fence/no-fence equivalence tests.
+	// fence metadata and every scan inspects every overlapping block. Not
+	// reachable from tman options or tmand flags; it stays because
+	// TestFenceChargedByteReduction and TestFenceScanEquivalence use the
+	// fence-less store as the reference for the charged-bytes claim.
 	DisableBlockFences bool
 }
 
@@ -197,8 +188,12 @@ type Store struct {
 	injector  *faultInjector // nil when fault injection is disabled
 	pool      *workPool      // shared bounded executor for region scan/write tasks
 	fl        *flusher       // background memtable flusher/compactor
-	bcfg      *blockConfig   // block run format config; nil = legacy slice runs
+	bcfg      *blockConfig   // store-wide run format config
 	jobs      *obs.JobRecorder
+
+	// fences holds the per-table fence extractors the store was opened
+	// with; a fenced table builds its runs with its own copy of bcfg.
+	fences map[string]FenceExtractor
 
 	// Node liveness (KillNode/ReviveNode). anyDead keeps the per-RPC check
 	// to one atomic load until the first kill.
@@ -211,8 +206,21 @@ type Store struct {
 	wal *wal
 }
 
-// Open creates an empty store with the given options.
-func Open(opts Options) *Store {
+// TableFence names the fence extractor the runs of one table are built
+// with: every run block of that table carries a fence (time range +
+// bounding box) summarizing its rows, and scans whose filter implements
+// FenceFilter prune blocks against those fences before fetching or decoding
+// them. The extractor is fixed when the store is opened — before any table
+// exists or any WAL record is replayed — and applies to every region the
+// table ever has, split children and replication followers included.
+type TableFence struct {
+	Table   string
+	Extract FenceExtractor
+}
+
+// Open creates an empty store with the given options. Tables named in
+// fences get fenced runs (ignored under DisableBlockFences).
+func Open(opts Options, fences ...TableFence) *Store {
 	opts.sanitize()
 	s := &Store{
 		opts:     opts,
@@ -222,14 +230,18 @@ func Open(opts Options) *Store {
 		jobs:     obs.NewJobRecorder(256),
 	}
 	s.fl = newFlusher(&s.stats, opts.FlushWorkers)
-	if !opts.DisableBlockFormat {
-		s.bcfg = &blockConfig{
-			blockBytes: opts.BlockSizeBytes,
-			bloomBits:  opts.BloomBitsPerKey,
-			stats:      &s.stats,
-		}
-		if opts.BlockCacheBytes > 0 {
-			s.bcfg.cache = cache.NewBlockCache(int64(opts.BlockCacheBytes), 0)
+	s.bcfg = &blockConfig{
+		blockBytes: opts.BlockSizeBytes,
+		bloomBits:  opts.BloomBitsPerKey,
+		stats:      &s.stats,
+	}
+	if opts.BlockCacheBytes > 0 {
+		s.bcfg.cache = cache.NewBlockCache(int64(opts.BlockCacheBytes), 0)
+	}
+	if !opts.DisableBlockFences {
+		s.fences = make(map[string]FenceExtractor, len(fences))
+		for _, f := range fences {
+			s.fences[f.Table] = f.Extract
 		}
 	}
 	return s
@@ -291,9 +303,9 @@ func (s *Store) TableNames() []string {
 func (s *Store) Stats() *Stats { return &s.stats }
 
 // BlockCacheStats reports the block cache tier's hit/miss/eviction
-// counters; the zero value when the cache (or the block format) is off.
+// counters; the zero value when the cache is off.
 func (s *Store) BlockCacheStats() cache.CacheStats {
-	if s.bcfg == nil || s.bcfg.cache == nil {
+	if s.bcfg.cache == nil {
 		return cache.CacheStats{}
 	}
 	return s.bcfg.cache.Stats()
@@ -302,15 +314,14 @@ func (s *Store) BlockCacheStats() cache.CacheStats {
 // BlockCacheUsedBytes reports the decoded bytes resident in the block
 // cache.
 func (s *Store) BlockCacheUsedBytes() int64 {
-	if s.bcfg == nil || s.bcfg.cache == nil {
+	if s.bcfg.cache == nil {
 		return 0
 	}
 	return s.bcfg.cache.UsedBytes()
 }
 
 // ResidentRunBytes sums the actual memory footprint of every run in the
-// store: encoded blocks + index + filter in block mode, decoded rows in
-// legacy mode. The before/after RSS metric of the block format.
+// store: encoded blocks + sparse index + bloom filter.
 func (s *Store) ResidentRunBytes() int64 {
 	s.mu.RLock()
 	tables := make([]*Table, 0, len(s.tables))
@@ -375,11 +386,7 @@ func (s *Store) nextRegionID() int64 { return s.regionSeq.Add(1) }
 
 // compactPol is the store-wide compaction policy every region is built with.
 func (s *Store) compactPol() compactPolicy {
-	return compactPolicy{
-		fanIn:      s.opts.CompactFanIn,
-		subRanges:  s.opts.CompactSubRanges,
-		monolithic: s.opts.MonolithicCompaction,
-	}
+	return compactPolicy{fanIn: s.opts.CompactFanIn, subRanges: s.opts.CompactSubRanges}
 }
 
 // RetryPolicy returns the sanitized client retry schedule.

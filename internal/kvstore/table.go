@@ -36,15 +36,19 @@ type Table struct {
 	regions []*region // ordered by startKey; regions[0].startKey == nil
 
 	// bcfg is the block config every region of this table builds runs
-	// with. It starts as the store-wide config and diverges only when
-	// SetFenceExtractor installs a table-specific fence extractor; splits
-	// and replication followers inherit it so fences survive topology
-	// changes.
+	// with: the store-wide config, or a copy carrying the fence extractor
+	// the store was opened with for this table. Immutable; splits and
+	// replication followers inherit it so fences survive topology changes.
 	bcfg *blockConfig
 }
 
 func newTable(name string, store *Store) *Table {
 	t := &Table{name: name, store: store, bcfg: store.bcfg}
+	if f := store.fences[name]; f != nil {
+		cfg := *store.bcfg // shares cache and stats; diverges only in fence
+		cfg.fence = f
+		t.bcfg = &cfg
+	}
 	t.regions = []*region{newRegion(store.nextRegionID(), nil, nil, store.nextNode(), store.opts.MemtableFlushBytes, store.opts.MaxRunsPerRegion, store.compactPol(), store.fl, t.bcfg)}
 	t.adoptRegion(t.regions[0])
 	store.initReplication(t.regions[0])
@@ -60,34 +64,6 @@ func (t *Table) adoptRegion(r *region) {
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
-
-// SetFenceExtractor installs the per-block fence extractor for this table:
-// from the next flush or compaction on, every run block carries a fence
-// (time range + bounding box) summarizing its rows, and scans whose filter
-// implements FenceFilter prune blocks against those fences before fetching
-// or decoding them. Existing runs are untouched — they simply carry no
-// fences and keep being inspected row-by-row until rewritten.
-//
-// The call is a no-op when the store runs the legacy run format or was
-// opened with DisableBlockFences. It is intended for table setup, before
-// concurrent load, and applies to all current and future regions
-// (including replication followers and split children).
-func (t *Table) SetFenceExtractor(f FenceExtractor) {
-	if t.store.bcfg == nil || t.store.opts.DisableBlockFences || f == nil {
-		return
-	}
-	cfg := *t.store.bcfg // shares cache and stats; diverges only in fence
-	cfg.fence = f
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bcfg = &cfg
-	for _, r := range t.regions {
-		r.mu.Lock()
-		r.bcfg = t.bcfg
-		r.mu.Unlock()
-		t.store.setFollowerBlockConfig(r, t.bcfg)
-	}
-}
 
 // regionForKey returns the region owning key. Caller must hold t.mu (R or W).
 func (t *Table) regionForKey(key []byte) *region {
@@ -308,15 +284,13 @@ func (t *Table) maybeSplit(r *region) {
 	right := newRegion(t.store.nextRegionID(), median, r.endKey, t.store.nextNode(), r.flushBytes, r.maxRuns, r.cpol, t.store.fl, t.bcfg)
 	t.adoptRegion(left)
 	t.adoptRegion(right)
-	// entriesCharge walks each side once anyway; derive the raw byte
-	// totals from it instead of recounting inside the run constructor.
 	leftCharge, rightCharge := entriesCharge(entries[:cut]), entriesCharge(entries[cut:])
-	left.runs = []*sortedRun{newRunFromEntries(t.bcfg, entries[:cut], int(leftCharge)-cut*memEntryOverhead)}
-	right.runs = []*sortedRun{newRunFromEntries(t.bcfg, entries[cut:], int(rightCharge)-(len(entries)-cut)*memEntryOverhead)}
+	left.runs = []*blockRun{newRunFromEntries(t.bcfg, entries[:cut])}
+	right.runs = []*blockRun{newRunFromEntries(t.bcfg, entries[cut:])}
 	left.writeBytes.Store(leftCharge)
 	right.writeBytes.Store(rightCharge)
 	job.AddBytesRead(leftCharge + rightCharge)
-	job.AddBytesWritten(int64(left.runs[0].bytes + right.runs[0].bytes))
+	job.AddBytesWritten(int64(left.runs[0].rawBytes + right.runs[0].rawBytes))
 	job.AddItems(int64(len(entries)))
 	// Children get fresh replication groups seeded from their runs; the
 	// parent's group (and its followers) is dropped with the parent.
@@ -1067,35 +1041,34 @@ func (t *Table) compactRegion(r *region) {
 	r.drainImmsLocked(st)
 	if r.mem.size > 0 {
 		job := r.jobs.Begin("flush", r.tname, r.id)
-		memEntries, memRaw := r.mem.drain()
-		run := newRunFromEntries(r.bcfg, memEntries, memRaw)
+		run := newRunFromEntries(r.bcfg, r.mem.drain())
 		r.runs = append(r.runs, run)
 		r.mem = newSkiplist(nextSkiplistSeed())
 		st.Flushes.Add(1)
-		st.BytesFlushed.Add(int64(run.bytes))
-		job.AddBytesRead(int64(memRaw))
-		job.AddBytesWritten(int64(run.bytes))
-		job.AddItems(int64(len(memEntries)))
+		st.BytesFlushed.Add(int64(run.rawBytes))
+		job.AddBytesRead(int64(run.rawBytes))
+		job.AddBytesWritten(int64(run.rawBytes))
+		job.AddItems(int64(run.count))
 		r.jobs.End(job)
 		r.maintainRunsLocked(st)
 	}
 	if len(r.runs) > 1 {
 		total, biggest := 0, 0
 		for _, run := range r.runs {
-			total += run.bytes
-			if run.bytes > biggest {
-				biggest = run.bytes
+			total += run.rawBytes
+			if run.rawBytes > biggest {
+				biggest = run.rawBytes
 			}
 		}
 		job := r.jobs.Begin("compact", r.tname, r.id)
 		nRuns := int64(len(r.runs))
 		start := time.Now()
-		r.runs = []*sortedRun{mergeRunSlice(r.bcfg, r.runs)}
+		r.runs = []*blockRun{mergeRunWindow(r.bcfg, r.runs, nil, nil, true)}
 		st.Compactions.Add(1)
 		st.BytesCompacted.Add(int64(total))
 		st.CompactStallNanos.Add(time.Since(start).Nanoseconds())
 		job.AddBytesRead(int64(total))
-		job.AddBytesWritten(int64(r.runs[0].bytes))
+		job.AddBytesWritten(int64(r.runs[0].rawBytes))
 		job.AddItems(nRuns)
 		job.AddStall(time.Since(start))
 		r.jobs.End(job)

@@ -442,12 +442,13 @@ func (s *Store) loadSnapshot(path string) error {
 // ---------------------------------------------------------- store hooks ---
 
 // OpenDir opens (or recovers) a durable store rooted at dir: the snapshot
-// is loaded first, then the WAL replayed on top.
-func OpenDir(dir string, opts Options) (*Store, error) {
+// is loaded first, then the WAL replayed on top. fences is as for Open:
+// replay-triggered flushes build fenced runs from the first record on.
+func OpenDir(dir string, opts Options, fences ...TableFence) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := Open(opts)
+	s := Open(opts, fences...)
 	s.dir = dir
 	if err := s.loadSnapshot(filepath.Join(dir, snapFileName)); err != nil {
 		return nil, err

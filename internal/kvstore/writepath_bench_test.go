@@ -78,13 +78,13 @@ func benchmarkIngest(b *testing.B, regions int, batched bool) {
 	}
 }
 
-// benchmarkSustainedIngest pushes a fixed multi-run volume (~64 MiB of
+// BenchmarkSustainedIngestTiered pushes a fixed multi-run volume (~64 MiB of
 // ~1 KiB rows) through one table and reports the two numbers the tiered
 // scheduler exists to move: write amplification (bytes compaction rewrote
 // per byte flushed) and p99 batch-put latency (compaction stalls surface as
 // tail latency on the write path). In-memory store: WAL fsync noise would
 // drown the rewrite signal this benchmark isolates.
-func benchmarkSustainedIngest(b *testing.B, monolithic bool) {
+func BenchmarkSustainedIngestTiered(b *testing.B) {
 	const (
 		rows      = 64 << 10 // x ~1 KiB values = ~64 MiB raw ingest
 		batchSize = 256
@@ -96,7 +96,6 @@ func benchmarkSustainedIngest(b *testing.B, monolithic bool) {
 		opts := DefaultOptions()
 		opts.RegionMaxBytes = 32 << 20
 		opts.MemtableFlushBytes = 512 << 10
-		opts.MonolithicCompaction = monolithic
 		s := Open(opts)
 		tbl, err := s.CreateTable("sustained")
 		if err != nil {
@@ -134,13 +133,10 @@ func benchmarkSustainedIngest(b *testing.B, monolithic bool) {
 	b.ReportMetric(writeAmp, "write-amp")
 	b.ReportMetric(float64(lats[len(lats)*99/100].Microseconds()), "p99-batch-us")
 	// The max batch is the one that paid a region split (t.mu held for the
-	// materialize); it bounds the worst write stall either policy causes.
+	// materialize); it bounds the worst write stall the policy causes.
 	b.ReportMetric(float64(lats[len(lats)-1].Microseconds())/1000, "max-batch-ms")
 	b.ReportMetric(float64(rows)*1024*float64(b.N)/b.Elapsed().Seconds()/(1<<20), "MiB/s")
 }
-
-func BenchmarkSustainedIngestTiered(b *testing.B)     { benchmarkSustainedIngest(b, false) }
-func BenchmarkSustainedIngestMonolithic(b *testing.B) { benchmarkSustainedIngest(b, true) }
 
 func BenchmarkWriteSequential1Region(b *testing.B)   { benchmarkIngest(b, 1, false) }
 func BenchmarkWriteSequential4Regions(b *testing.B)  { benchmarkIngest(b, 4, false) }

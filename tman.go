@@ -197,31 +197,17 @@ func WithBlockTuning(blockBytes, bloomBits, cacheBytes int) Option {
 	}
 }
 
-// WithFenceTuning controls block fence pruning (zone maps): when enabled
-// (the default), every primary-table run block carries a fence — the
-// min/max time range and bounding box of its rows — and queries skip
-// blocks whose fence contradicts their predicate before fetching or
-// decoding them. Passing false disables fences entirely; results are
-// identical either way, only the per-query I/O differs. Kept as an escape
-// hatch and for A/B measurement against the unfenced read path.
-func WithFenceTuning(enabled bool) Option {
-	return func(c *engine.Config) { c.KV.DisableBlockFences = !enabled }
-}
-
 // WithCompactionTuning adjusts the tiered compaction scheduler of the
 // underlying store: fanIn is how many consecutive same-size-tier runs a
 // region accumulates before they merge (0 keeps the default 4, minimum 2 —
 // higher defers merging and lowers write amplification at the cost of more
 // runs per read), and subRanges is the number of key-range partitions a
 // large merge is split into for parallel execution on the flusher pool
-// (0 keeps 4, 1 disables partitioning). monolithic restores the legacy
-// policy that rewrites every run in the region whenever the run count
-// crosses the per-region maximum — kept for A/B comparison.
-func WithCompactionTuning(fanIn, subRanges int, monolithic bool) Option {
+// (0 keeps 4, 1 disables partitioning).
+func WithCompactionTuning(fanIn, subRanges int) Option {
 	return func(c *engine.Config) {
 		c.KV.CompactFanIn = fanIn
 		c.KV.CompactSubRanges = subRanges
-		c.KV.MonolithicCompaction = monolithic
 	}
 }
 
