@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all vet build test race check bench bench-write bench-query \
-	bench-overhead bench-serving lint-logs obs-check
+	bench-overhead bench-serving lint-logs obs-check test-recovery
 
 all: check
 
@@ -19,6 +19,21 @@ test:
 race:
 	$(GO) test -race ./internal/kvstore ./internal/engine
 
+# Crash recovery and the files it trusts, under the race detector: a kill at
+# every boundary between two dependent file operations (store level, two
+# geometries) and inside a re-encode pass (engine level), writers racing
+# segment rotation and forced seals, the model oracle on a durable cluster
+# killed after every step, and the hostile-bytes suites of the run-file and
+# manifest formats — then RECOVERY_FUZZTIME of each of their fuzz targets.
+RECOVERY_FUZZTIME ?= 30s
+test-recovery:
+	$(GO) test -race ./internal/kvstore/ \
+		-run 'TestCrash|TestRecovery|TestKillRacing|TestSyncedState|TestInFlightWriter|TestPersistenceError|TestDropTableSurvives|TestFailoverOnDurable|TestCheckpoint|TestDurable|TestLegacy|TestLogOnly|TestTornWAL|TestCorruptWAL|TestWAL|TestRunFile|TestManifest|TestOpenDir'
+	$(GO) test -race ./internal/engine/ -run 'TestDurable|TestReopen|TestReencodeSurvives|TestRecoverState'
+	$(GO) test -race ./internal/chaos/ -run 'TestModelOracle/durable'
+	$(GO) test -run='^$$' -fuzz 'FuzzDecodeRunFile' -fuzztime $(RECOVERY_FUZZTIME) ./internal/kvstore/
+	$(GO) test -run='^$$' -fuzz 'FuzzReplayManifest' -fuzztime $(RECOVERY_FUZZTIME) ./internal/kvstore/
+
 # Library code must log through log/slog (or stay silent) — bare fmt.Print*
 # writes to stdout bypass the structured request log and pollute exposition
 # pipes. Test files are exempt.
@@ -35,7 +50,7 @@ check: vet build lint-logs test race
 # (parseability, TYPE declarations, histogram consistency, minimum series
 # count). obscheck retries while the server comes up, so no sleeps.
 OBS_ADDR ?= 127.0.0.1:18080
-OBS_REQUIRED = tman_bg_jobs_total,tman_bg_bytes_read_total,tman_bg_bytes_written_total,tman_bg_seconds_total,tman_bg_stall_seconds_total,tman_bg_jobs_running,tman_slo_good_total,tman_slo_late_total,tman_slo_shed_total,tman_slo_objective_seconds,tman_slo_burn_rate_1m,tman_slo_burn_rate_5m,tman_scan_queue_depth,tman_region_hottest_rows,tman_region_hotness_share
+OBS_REQUIRED = tman_wal_segments,tman_wal_tail_bytes,tman_run_files,tman_run_file_bytes,tman_resident_run_bytes,tman_runs_per_region_max,tman_recover_seconds,tman_persist_errors_total,tman_bg_jobs_total,tman_bg_bytes_read_total,tman_bg_bytes_written_total,tman_bg_seconds_total,tman_bg_stall_seconds_total,tman_bg_jobs_running,tman_slo_good_total,tman_slo_late_total,tman_slo_shed_total,tman_slo_objective_seconds,tman_slo_burn_rate_1m,tman_slo_burn_rate_5m,tman_scan_queue_depth,tman_region_hottest_rows,tman_region_hotness_share
 obs-check:
 	$(GO) build -o /tmp/tmand-obscheck ./cmd/tmand
 	$(GO) build -o /tmp/obscheck ./cmd/obscheck

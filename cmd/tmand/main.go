@@ -2,9 +2,12 @@
 //
 //	tmand -addr :8080 -boundary 110,35,125,45
 //
-// See internal/httpapi for the endpoint reference. Data lives in process
-// memory (the embedded KV store); tmand is the single-node deployment shape
-// of the system. Observability:
+// See internal/httpapi for the endpoint reference. tmand is the single-node
+// deployment shape of the system: the embedded KV store runs in this
+// process. Without -data everything lives in memory and dies with it; with
+// -data <dir> every write is logged before it is acknowledged, memtables
+// are flushed into run files under dir, and a restart loads those files and
+// replays only the log tail (see DESIGN.md §18). Observability:
 //
 //	GET /metrics               Prometheus text exposition
 //	GET /trace?query=space&... run one traced query, return its span tree
@@ -118,9 +121,6 @@ func main() {
 	db, err := tman.Open(rect, opts...)
 	if err != nil {
 		fatal("open failed", "err", err)
-	}
-	if *dataDir != "" {
-		logger.Info("recovered durable state", "trajectories", db.Len(), "dir", *dataDir)
 	}
 
 	// The pprof endpoints live on their own listener so profiling is never

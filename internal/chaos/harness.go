@@ -9,6 +9,8 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 
 	tman "github.com/tman-db/tman"
@@ -53,6 +55,7 @@ type Cluster struct {
 	DB    *tman.DB
 	DS    *workload.Dataset
 	Model *Model
+	opts  []tman.Option // what the database was opened with, for KillAndReopen
 }
 
 // SmallRegions shrinks region and memtable thresholds so even modest
@@ -70,15 +73,69 @@ func SmallRegions() tman.Option {
 // identical data, so their query answers are directly comparable.
 func NewCluster(n int, seed int64, opts ...tman.Option) (*Cluster, error) {
 	ds := workload.TDriveSim(n, seed)
-	db, err := tman.Open(ds.Boundary, append([]tman.Option{SmallRegions()}, opts...)...)
+	opts = append([]tman.Option{SmallRegions()}, opts...)
+	db, err := tman.Open(ds.Boundary, opts...)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{DB: db, DS: ds, Model: NewModel(ds.Boundary)}
+	c := &Cluster{DB: db, DS: ds, Model: NewModel(ds.Boundary), opts: opts}
 	if err := c.Put(ds.Trajs); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// KillAndReopen kills a durable cluster's database as SIGKILL would —
+// nothing is flushed, synced or closed — and opens its data directory
+// again: with the background work settled, the directory is copied (that
+// image is what a kill at this instant leaves), the database is closed, and
+// the image takes the directory's place. The model is untouched: it holds
+// exactly the writes acknowledged before the kill, which is what must come
+// back.
+func (c *Cluster) KillAndReopen() error {
+	var cfg engine.Config
+	for _, opt := range c.opts {
+		opt(&cfg)
+	}
+	dir, image := cfg.DataDir, cfg.DataDir+".killed"
+	c.DB.Engine().Store().Quiesce()
+	if err := copyDir(dir, image); err != nil {
+		return err
+	}
+	_ = c.DB.Close() // what it writes on the way out is discarded with dir
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	if err := os.Rename(image, dir); err != nil {
+		return err
+	}
+	db, err := tman.Open(c.DS.Boundary, c.opts...)
+	if err != nil {
+		return err
+	}
+	c.DB = db
+	return nil
+}
+
+// copyDir copies the files of src into a new directory dst.
+func copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		return err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Query is one sampled query of the paper's six types; Kind selects which

@@ -34,6 +34,7 @@ func TestModelOracle(t *testing.T) {
 	extra := extraTrajectories(180, dataSeed+2000)
 	third := len(extra) / 3
 
+	var logged, replayed, dropped int64 // the durable row's log accounting
 	rows := []struct {
 		name      string
 		opts      []tman.Option
@@ -140,6 +141,54 @@ func TestModelOracle(t *testing.T) {
 			exercised: func(t *testing.T, run Run, c *Cluster) {
 				run.Assert(t, c.DB.Engine().Reencodes() > 0, "no re-encode pass ran")
 				run.Assert(t, c.DB.Engine().Store().Stats().Snapshot().Deletes > 0, "nothing was deleted")
+			},
+		},
+		{
+			name: "durable-kill-after-every-step",
+			// A durable cluster killed (no flush, no sync, no close) and
+			// reopened after every step: writes, deletes, overwrites, re-encode
+			// passes, a checkpoint and a major compaction. Whatever was
+			// acknowledged before each kill is in run files or the log tail and
+			// must answer all six query types exactly; restarts load run files
+			// and replay only what the log still holds.
+			opts: []tman.Option{tman.WithDataDir(t.TempDir()), func(c *engine.Config) {
+				c.BufferThreshold = 2
+				c.KV.CompactFanIn = 2
+			}},
+			steps: func(c *Cluster, step func(string, error)) {
+				kill := func(name string, err error) {
+					if err == nil {
+						ps := c.DB.Engine().Store().PersistStats()
+						logged += ps.WALBytesLogged
+						dropped += ps.SegmentsDropped
+						err = c.KillAndReopen()
+						replayed = c.DB.Engine().Store().Recovery().WALBytes
+					}
+					step(name+", killed and reopened", err)
+				}
+				kill("loaded", nil)
+				kill("write 1", c.Put(extra[:third]))
+				var err error
+				for i := 0; i < len(c.DS.Trajs) && err == nil; i += 5 {
+					err = c.Delete(c.DS.Trajs[i])
+				}
+				kill("delete every fifth", err)
+				kill("checkpoint", c.DB.Checkpoint())
+				kill("overwrite and re-insert", c.Put(c.DS.Trajs[:100]))
+				kill("write 2, fresh shapes", c.Put(extra[third:]))
+				for i := 0; i < len(extra) && err == nil; i += 3 {
+					err = c.Delete(extra[i])
+				}
+				kill("delete after re-encode", err)
+				c.DB.Engine().Store().CompactAll()
+				kill("major compaction", nil)
+			},
+			exercised: func(t *testing.T, run Run, c *Cluster) {
+				run.Assert(t, dropped > 0, "no log segment was ever unlinked")
+				run.Assert(t, replayed < logged/2, "the last restart replayed %d log bytes of %d ever logged: not a tail", replayed, logged)
+				rec := c.DB.Engine().Store().Recovery()
+				run.Assert(t, rec.RunFiles > 0, "the last restart loaded no run file")
+				run.Assert(t, c.DB.Engine().Store().PersistStats().Errors == 0, "persistence errors on the reopened store")
 			},
 		},
 	}

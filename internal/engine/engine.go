@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/tman-db/tman/internal/cache"
 	"github.com/tman-db/tman/internal/codec"
@@ -69,6 +71,15 @@ type Engine struct {
 	trSeen       atomic.Bool
 
 	met *engineMetrics
+
+	// recoverDur is how long New took to bring a durable engine back: the
+	// store's manifest + run-file load, its log replay, and recoverState.
+	// Zero on an in-memory engine.
+	recoverDur time.Duration
+
+	// crashHook, when set (tests only), runs at the named boundaries of a
+	// re-encode pass; a crash test copies the data directory from it.
+	crashHook func(point string)
 }
 
 // New creates an engine with its own KV store. With Config.DataDir set the
@@ -113,6 +124,7 @@ func New(cfg Config) (*Engine, error) {
 	// dimension gave up. The other secondaries keep plain runs — their
 	// windows are already exact at index granularity.
 	fences := []kvstore.TableFence{{Table: tablePrimary, Extract: rowFence}, {Table: tableST, Extract: e.stIndexFence}}
+	opened := time.Now()
 	if cfg.DataDir != "" {
 		e.store, err = kvstore.OpenDir(cfg.DataDir, cfg.KV, fences...)
 		if err != nil {
@@ -146,54 +158,92 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.met = newEngineMetrics(e)
 	if cfg.DataDir != "" {
-		if err := e.recoverState(); err != nil {
-			return nil, err
-		}
+		e.recoverState(opened)
 	}
 	e.writeMeta()
 	return e, nil
 }
 
 // recoverState rebuilds in-memory bookkeeping from recovered tables: the
-// row count, the observed TR value extent, and the buffered (not yet
-// re-encoded) shapes that keep raw-coded rows reachable by queries.
-func (e *Engine) recoverState() error {
-	rows := e.primary.Scan(nil, nil, nil, 0)
-	e.rows.Store(int64(len(rows)))
-	for _, kv := range rows {
-		hdr, _, err := decodeRowHeader(kv.Value)
-		if err != nil {
-			continue
-		}
-		e.observeTR(hdr.TRValue)
-	}
+// buffered (not yet re-encoded) shapes that keep raw-coded rows reachable
+// by queries, any re-encode pass a crash cut short, the row count and the
+// observed TR value extent. The whole restart since opened is recorded as a
+// "recover" job (bytes read: run files loaded; bytes written: log bytes
+// re-applied to memtables; items: trajectories found) and its three phase
+// times are logged once.
+func (e *Engine) recoverState(opened time.Time) {
+	job := e.store.Jobs().BeginAt("recover", "", 0, opened)
+	start := time.Now()
+	var interrupted []uint64
 	if e.buffer != nil {
 		for _, kv := range e.bufTable.Scan(nil, nil, nil, 0) {
-			if len(kv.Key) != 16 {
-				continue
-			}
-			elem, _ := codec.Uint64(kv.Key)
-			bits, _ := codec.Uint64(kv.Key[8:])
-			// Re-adding may cross the threshold; re-encode immediately so
-			// the recovered state converges.
-			if e.buffer.Add(elem, bits) {
-				e.reencodeElement(elem)
+			switch len(kv.Key) {
+			case 8: // a re-encode pass was under way (see reencodeElement)
+				elem, _ := codec.Uint64(kv.Key)
+				interrupted = append(interrupted, elem)
+			case 16:
+				elem, _ := codec.Uint64(kv.Key)
+				bits, _ := codec.Uint64(kv.Key[8:])
+				// Re-adding may cross the threshold; re-encode immediately so
+				// the recovered state converges.
+				if e.buffer.Add(elem, bits) {
+					e.reencodeElement(elem)
+				}
 			}
 		}
+		// A pass is idempotent — every row of the element is re-keyed from
+		// its own geometry — so finishing an interrupted one is running it
+		// again.
+		for _, elem := range interrupted {
+			e.reencodeElement(elem)
+		}
 	}
-	return nil
+	// Count rows and observe TR values inside the region scanners: the
+	// filter sees every live row and passes none, so nothing is copied out.
+	e.primary.Scan(nil, nil, kvstore.FilterFunc(func(_, value []byte) bool {
+		e.rows.Add(1)
+		if hdr, _, err := decodeRowHeader(value); err == nil {
+			e.observeTR(hdr.TRValue)
+		}
+		return false
+	}), 0)
+
+	rec := e.store.Recovery()
+	state := time.Since(start)
+	e.recoverDur = time.Since(opened)
+	job.AddBytesRead(rec.RunFileBytes)
+	job.AddBytesWritten(rec.WALBytes)
+	job.AddItems(e.rows.Load())
+	e.store.Jobs().End(job)
+	slog.Info("recovered",
+		"dir", e.cfg.DataDir,
+		"load_ms", rec.LoadDuration.Milliseconds(), "run_files", rec.RunFiles, "run_file_bytes", rec.RunFileBytes,
+		"replay_ms", rec.ReplayDuration.Milliseconds(), "wal_segments", rec.WALSegments, "wal_bytes", rec.WALBytes, "wal_rows", rec.WALRows,
+		"state_ms", state.Milliseconds(), "trajectories", e.rows.Load(), "reencodes_finished", len(interrupted))
 }
 
 // Close flushes durable state (no-op for in-memory engines).
 func (e *Engine) Close() error { return e.store.Close() }
 
-// Checkpoint snapshots a durable store and truncates its WAL.
+// Checkpoint flushes every memtable of a durable store into run files,
+// fsyncs them with the manifest and the log, and drops the log segments that
+// are covered, so that a restart replays (almost) nothing. It may run beside
+// writers.
 func (e *Engine) Checkpoint() error { return e.store.Checkpoint() }
 
+// RecoverDuration is how long New spent bringing a durable engine back
+// (zero for an in-memory one).
+func (e *Engine) RecoverDuration() time.Duration { return e.recoverDur }
+
 // writeMeta records index parameters in the metadata table (paper
-// Section IV-B(4)).
+// Section IV-B(4)). A restart that finds them as they are writes nothing:
+// it neither grows the log nor leaves a memtable pinning it.
 func (e *Engine) writeMeta() {
-	put := func(k, v string) { e.meta.Put([]byte(k), []byte(v)) }
+	put := func(k, v string) {
+		if cur, ok := e.meta.Get([]byte(k)); !ok || string(cur) != v {
+			e.meta.Put([]byte(k), []byte(v))
+		}
+	}
 	put("spatial", e.cfg.Spatial.String())
 	put("temporal", e.cfg.Temporal.String())
 	put("alpha", fmt.Sprint(e.cfg.Alpha))
@@ -630,11 +680,6 @@ func (e *Engine) reencodeElement(elem uint64) {
 	defer e.reencodeMu.Unlock()
 
 	buffered := e.buffer.Take(elem)
-	// Drop the persisted buffer entries: the directory will own these
-	// shapes once the re-encode below completes.
-	for _, bits := range buffered {
-		e.bufTable.Delete(bufShapeKey(elem, bits))
-	}
 	existing := e.icache.Shapes(elem)
 	seen := make(map[uint64]struct{}, len(existing)+len(buffered))
 	all := make([]uint64, 0, len(existing)+len(buffered))
@@ -660,8 +705,22 @@ func (e *Engine) reencodeElement(elem uint64) {
 		shapes[i] = cache.Shape{Bits: bits, Code: uint64(i)}
 		newCode[bits] = uint64(i)
 	}
+	// The pass is several writes to several tables and a crash may fall
+	// between any two. A marker row (the element alone as key) brackets it:
+	// recoverState runs the pass again for every marker it finds, which is
+	// safe because the pass is idempotent. Inside the bracket the order is
+	// directory first, then the buffered-shape rows (until the directory
+	// knows a shape, the buffer row is what keeps its raw-coded
+	// trajectories reachable), then the row moves.
+	marker := codec.AppendUint64(nil, elem)
+	e.bufTable.Put(marker, nil)
+	e.crash("reencode-marked")
 	if err := e.icache.Update(elem, shapes); err != nil {
 		return
+	}
+	e.crash("directory-updated")
+	for _, bits := range buffered {
+		e.bufTable.Delete(bufShapeKey(elem, bits))
 	}
 	// Final codes just changed: plans generated against the old directory
 	// would scan dead index values and miss the rewritten rows.
@@ -669,6 +728,13 @@ func (e *Engine) reencodeElement(elem uint64) {
 	e.reencodes.Add(1)
 	e.rewriteElementRows(elem, newCode)
 	e.bumpPlanEpoch()
+	e.bufTable.Delete(marker)
+}
+
+func (e *Engine) crash(point string) {
+	if e.crashHook != nil {
+		e.crashHook(point)
+	}
 }
 
 // rewriteElementRows migrates stored rows of an element to their new shape
@@ -707,16 +773,19 @@ func (e *Engine) rewriteElementRows(elem uint64, newCode map[uint64]uint64) {
 			if newVal == oldVal {
 				continue
 			}
+			// New key and mappings first, the old row last: until its delete
+			// is logged, a crash leaves the old row in place and the pass run
+			// again at recovery finds it and finishes the move. (Readers that
+			// meet both copies drop one by TID.)
 			newKey := codec.PrimaryKey(byte(s), newVal, tid)
-			e.primary.Delete(kv.Key)
-			e.primary.Put(newKey, kv.Value)
-			// Refresh secondary mappings that embed the primary key or the
-			// spatial value.
 			shard := byte(s)
+			e.primary.Put(newKey, kv.Value)
 			e.trTable.Put(codec.SecondaryKey(shard, codec.AppendUint64(nil, row.TRValue), tid), newKey)
 			e.idtTable.Put(codec.SecondaryKey(shard, idt.Key(row.OID, row.TRValue), tid), newKey)
-			e.stTable.Delete(codec.SecondaryKey(shard, st.Key(row.TRValue, oldVal), tid))
 			e.stTable.Put(codec.SecondaryKey(shard, st.Key(row.TRValue, newVal), tid), newKey)
+			e.crash("row-moving")
+			e.stTable.Delete(codec.SecondaryKey(shard, st.Key(row.TRValue, oldVal), tid))
+			e.primary.Delete(kv.Key)
 		}
 	}
 }
@@ -765,11 +834,13 @@ func (e *Engine) rewriteElementSecondary(elem uint64, newCode map[uint64]uint64)
 			if newVal == oldVal {
 				continue
 			}
+			// New mappings first, the scanned one last (see rewriteElementRows).
 			shard := byte(s)
-			e.spTable.Delete(kv.Key)
 			e.spTable.Put(codec.SecondaryKey(shard, codec.AppendUint64(nil, newVal), tid), pk)
-			e.stTable.Delete(codec.SecondaryKey(shard, st.Key(row.TRValue, oldVal), tid))
 			e.stTable.Put(codec.SecondaryKey(shard, st.Key(row.TRValue, newVal), tid), pk)
+			e.crash("row-moving")
+			e.stTable.Delete(codec.SecondaryKey(shard, st.Key(row.TRValue, oldVal), tid))
+			e.spTable.Delete(kv.Key)
 		}
 	}
 }

@@ -22,7 +22,7 @@ var queryTypes = []string{qTemporal, qSpatial, qSpaceTime, qObject, qSimilar, qN
 
 // jobKinds is the fixed set of background-job kinds the tman_bg_* series
 // are registered for (matching the kinds kvstore records).
-var jobKinds = []string{"flush", "compact", "catchup", "split", "failover"}
+var jobKinds = []string{"flush", "compact", "catchup", "split", "failover", "recover"}
 
 // engineMetrics is the engine's registration into the obs layer: the shared
 // registry every subsystem exports through, per-query-type latency
@@ -103,6 +103,25 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		func() float64 { return float64(st.BackoffNanos.Load()) / 1e9 })
 	reg.GaugeFunc("tman_store_regions", "regions across all tables",
 		func() float64 { return float64(e.store.TotalRegions()) })
+
+	// --- what is on disk: log tail, run files, and what a restart cost -----
+	gauge := func(name, help string, fn func() float64) { reg.GaugeFunc(name, help, fn) }
+	gauge("tman_wal_segments", "write-ahead log segments retained, the active one included",
+		func() float64 { return float64(e.store.PersistStats().WALSegments) })
+	gauge("tman_wal_tail_bytes", "bytes in the retained log segments: what a restart would replay",
+		func() float64 { return float64(e.store.PersistStats().WALTailBytes) })
+	gauge("tman_run_files", "run files named by the manifest",
+		func() float64 { return float64(e.store.PersistStats().RunFiles) })
+	gauge("tman_run_file_bytes", "bytes in the run files named by the manifest",
+		func() float64 { return float64(e.store.PersistStats().RunFileBytes) })
+	gauge("tman_resident_run_bytes", "memory held by runs: encoded blocks, sparse indexes and bloom filters",
+		func() float64 { return float64(e.store.ResidentRunBytes()) })
+	gauge("tman_runs_per_region_max", "deepest run stack of any region, in logical runs",
+		func() float64 { return float64(e.store.MaxRunsPerRegion()) })
+	gauge("tman_recover_seconds", "time the last start spent recovering: run-file load, log replay and engine state",
+		func() float64 { return e.recoverDur.Seconds() })
+	counter("tman_persist_errors_total", "failed log, run-file and manifest operations (the first stops all persistence)",
+		func() int64 { return e.store.PersistStats().Errors })
 
 	// --- replication: ship/catch-up/failover counters + health gauges ----
 	counter("tman_failovers_total", "leader promotions after node death", st.Failovers.Load)

@@ -441,6 +441,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	rs := s.db.Engine().Store().ReplicaStats()
 	bcs := s.db.Engine().Store().BlockCacheStats()
 	sloMS, slo := s.db.Engine().SLOSnapshot()
+	disk := s.db.Engine().Store().PersistStats()
 	writeJSON(w, map[string]any{
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"version":        buildVersion(),
@@ -464,6 +465,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"bytes_compacted":     snap.BytesCompacted,
 		"compact_stall_ns":    snap.CompactStallNanos,
 		"compact_queue_depth": s.db.Engine().Store().CompactQueueDepth(),
+
+		"wal_segments":         disk.WALSegments,
+		"wal_tail_bytes":       disk.WALTailBytes,
+		"wal_segments_dropped": disk.SegmentsDropped,
+		"forced_seals":         disk.ForcedSeals,
+		"run_files":            disk.RunFiles,
+		"run_file_bytes":       disk.RunFileBytes,
+		"resident_run_bytes":   s.db.Engine().Store().ResidentRunBytes(),
+		"runs_per_region_max":  s.db.Engine().Store().MaxRunsPerRegion(),
+		"recover_seconds":      s.db.Engine().RecoverDuration().Seconds(),
+		"persist_errors":       disk.Errors,
 
 		"replicas":          s.db.Engine().Store().Replicas(),
 		"replica_followers": rs.Followers,

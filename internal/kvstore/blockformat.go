@@ -108,6 +108,13 @@ type blockRun struct {
 	fenceBlob []byte
 	fences    []blockFence
 	runFence  blockFence
+
+	// file is the number of the run file holding this run, 0 while it has
+	// none (in-memory stores, follower-built runs, a run not yet installed).
+	// Not part of the immutable run: written by the install step of the
+	// leader region naming it, under that region's flushMu.
+	file      uint64
+	fileBytes int64
 }
 
 // decodedBlock is a decompressed block as it lives in the cache: entries

@@ -305,9 +305,7 @@ func (r *region) maintainRuns(stats *Stats) {
 			return
 		}
 		frags := r.compactGroup(snap, lo, hi, stats, true)
-		r.mu.Lock()
-		r.runs = spliceRuns(r.runs, lo, hi, frags)
-		r.mu.Unlock()
+		r.install("compact", spliceRuns(snap, lo, hi, frags), false, nil, nil)
 	}
 }
 
@@ -321,6 +319,6 @@ func (r *region) maintainRunsLocked(stats *Stats) {
 			return
 		}
 		frags := r.compactGroup(r.runs, lo, hi, stats, false)
-		r.runs = spliceRuns(r.runs, lo, hi, frags)
+		r.install("compact", spliceRuns(r.runs, lo, hi, frags), true, nil, nil)
 	}
 }

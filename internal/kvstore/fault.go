@@ -12,7 +12,7 @@ import (
 // failures, slow region servers, and regions that go briefly unavailable
 // around splits and compactions. Faults apply only to the client-facing
 // context-aware operations (ScanCtx, ScanRangesCtx, GetCtx, PutCtx); the
-// plain methods model trusted in-process access (WAL replay, snapshotting,
+// plain methods model trusted in-process access (WAL replay,
 // index rewrites) and stay infallible.
 //
 // Every fault decision is a pure function of (Seed, region id, per-region

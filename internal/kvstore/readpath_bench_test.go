@@ -66,7 +66,7 @@ func BenchmarkRegionScan(b *testing.B) {
 	for runIdx := 0; runIdx < runs; runIdx++ {
 		for j := 0; j < perRun; j++ {
 			seq := j*runs + runIdx
-			r.put([]byte(fmt.Sprintf("key-%08d", seq)), []byte("value-payload-payload"))
+			r.put([]byte(fmt.Sprintf("key-%08d", seq)), []byte("value-payload-payload"), nil)
 		}
 		r.mu.Lock()
 		r.sealLocked()
@@ -75,7 +75,7 @@ func BenchmarkRegionScan(b *testing.B) {
 	}
 	// Leave some rows in the memtable so the scan merges runs + memtable.
 	for j := 0; j < perRun; j++ {
-		r.put([]byte(fmt.Sprintf("key-%08d", j*runs+3)), []byte("fresh-payload"))
+		r.put([]byte(fmt.Sprintf("key-%08d", j*runs+3)), []byte("fresh-payload"), nil)
 	}
 	var out []KV
 	b.ResetTimer()

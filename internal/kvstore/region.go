@@ -60,6 +60,11 @@ type region struct {
 	jobs  *obs.JobRecorder
 	tname string
 
+	// per is the store's persister on the leader regions of a durable store
+	// and nil everywhere else (in-memory stores, followers): the one check
+	// that decides whether a run-set change touches the disk. See install.
+	per *persister
+
 	// Hotness accounting for the per-region hotness gauges: lifetime scan
 	// task count and rows visited, charged unconditionally (two atomic adds
 	// per region scan).
@@ -150,19 +155,23 @@ func ingestCharge(key, value []byte) int64 {
 // the local apply and the follower ship happen under one group critical
 // section, so the write is acknowledged only once every live follower has
 // it and all writers agree on the commit order.
-func (r *region) put(key, value []byte) (writeBytes int64) {
+//
+// seg is the log segment the mutation was appended to (nil when nothing was
+// logged): the memtable that takes the row pins it.
+func (r *region) put(key, value []byte, seg *walSegment) (writeBytes int64) {
 	if g := r.rep; g != nil {
 		g.lock()
-		wb := r.putLocal(key, value)
+		wb := r.putLocal(key, value, seg)
 		g.shipLocked(opPut, key, value, nil)
 		g.unlock()
 		return wb
 	}
-	return r.putLocal(key, value)
+	return r.putLocal(key, value, seg)
 }
 
-func (r *region) putLocal(key, value []byte) (writeBytes int64) {
+func (r *region) putLocal(key, value []byte, seg *walSegment) (writeBytes int64) {
 	r.mu.Lock()
+	r.pinLocked(seg)
 	r.mem.set(key, value, false)
 	wb := r.writeBytes.Add(ingestCharge(key, value))
 	sealed := false
@@ -181,18 +190,18 @@ func (r *region) putLocal(key, value []byte) (writeBytes int64) {
 // must all fall inside the region's range. Returns the post-apply ingest
 // volume for the split check. Replicated regions ship the whole batch as a
 // single op=3 group-commit frame, mirroring the WAL.
-func (r *region) putBatch(rows []KV) (writeBytes int64) {
+func (r *region) putBatch(rows []KV, seg *walSegment) (writeBytes int64) {
 	if g := r.rep; g != nil {
 		g.lock()
-		wb := r.putBatchLocal(rows)
+		wb := r.putBatchLocal(rows, seg)
 		g.shipLocked(opBatch, nil, nil, rows)
 		g.unlock()
 		return wb
 	}
-	return r.putBatchLocal(rows)
+	return r.putBatchLocal(rows, seg)
 }
 
-func (r *region) putBatchLocal(rows []KV) (writeBytes int64) {
+func (r *region) putBatchLocal(rows []KV, seg *walSegment) (writeBytes int64) {
 	var ingest int64
 	for i := range rows {
 		ingest += ingestCharge(rows[i].Key, rows[i].Value)
@@ -201,6 +210,7 @@ func (r *region) putBatchLocal(rows []KV) (writeBytes int64) {
 	r.mu.Lock()
 	var ins batchInserter
 	for len(rows) > 0 {
+		r.pinLocked(seg)
 		n := r.mem.setSortedPuts(rows, r.flushBytes, &ins)
 		rows = rows[n:]
 		if r.mem.bytes >= r.flushBytes {
@@ -219,19 +229,20 @@ func (r *region) putBatchLocal(rows []KV) (writeBytes int64) {
 }
 
 // delete writes a tombstone.
-func (r *region) delete(key []byte) {
+func (r *region) delete(key []byte, seg *walSegment) {
 	if g := r.rep; g != nil {
 		g.lock()
-		r.deleteLocal(key)
+		r.deleteLocal(key, seg)
 		g.shipLocked(opDelete, key, nil, nil)
 		g.unlock()
 		return
 	}
-	r.deleteLocal(key)
+	r.deleteLocal(key, seg)
 }
 
-func (r *region) deleteLocal(key []byte) {
+func (r *region) deleteLocal(key []byte, seg *walSegment) {
 	r.mu.Lock()
+	r.pinLocked(seg)
 	r.mem.set(key, nil, true)
 	r.writeBytes.Add(ingestCharge(key, nil))
 	sealed := false
@@ -241,6 +252,15 @@ func (r *region) deleteLocal(key []byte) {
 	r.mu.Unlock()
 	if sealed {
 		r.fl.enqueue(r)
+	}
+}
+
+// pinLocked makes the live memtable of a durable leader region hold the log
+// from seg on, ahead of taking a row logged there; caller holds mu. A
+// follower, an in-memory region or a region of a dropped table pins nothing.
+func (r *region) pinLocked(seg *walSegment) {
+	if r.per != nil {
+		r.mem.pin(seg)
 	}
 }
 
@@ -275,10 +295,7 @@ func (r *region) flushOldestImm(stats *Stats) bool {
 	job := r.jobs.Begin("flush", r.tname, r.id)
 	entries := m.drain()
 	run := newRunFromEntries(r.bcfg, entries)
-	r.mu.Lock()
-	r.imm = r.imm[1:]
-	r.runs = append(r.runs, run)
-	r.mu.Unlock()
+	r.install("flush", withRun(r.runs, run), false, func() { r.imm = r.imm[1:] }, m)
 	stats.Flushes.Add(1)
 	stats.BytesFlushed.Add(int64(run.rawBytes))
 	job.AddBytesRead(int64(run.rawBytes))
@@ -302,12 +319,31 @@ func (r *region) drainImmsLocked(stats *Stats) {
 			continue
 		}
 		run := newRunFromEntries(r.bcfg, m.drain())
-		r.runs = append(r.runs, run)
+		r.install("flush", withRun(r.runs, run), true, nil, m)
 		stats.Flushes.Add(1)
 		stats.BytesFlushed.Add(int64(run.rawBytes))
 		r.maintainRunsLocked(stats)
 	}
 	r.imm = nil
+}
+
+// flushMemLocked turns the live memtable into a run on top of the stack and
+// starts an empty one, uncounted (callers that count do so themselves).
+// Caller holds flushMu and mu.
+func (r *region) flushMemLocked() *blockRun {
+	m := r.mem
+	run := newRunFromEntries(r.bcfg, m.drain())
+	r.install("flush", withRun(r.runs, run), true, func() { r.mem = newSkiplist(nextSkiplistSeed()) }, m)
+	return run
+}
+
+// withRun returns runs with run stacked on top, in a fresh slice: readers
+// may still be walking the old one.
+func withRun(runs []*blockRun, run *blockRun) []*blockRun {
+	out := make([]*blockRun, len(runs)+1)
+	copy(out, runs)
+	out[len(runs)] = run
+	return out
 }
 
 // get performs a point lookup, newest version wins.
@@ -515,34 +551,70 @@ func (r *region) sizeLocked() int {
 	return s
 }
 
-// splitEntries compacts the region and returns all live entries plus the
-// median key for splitting. Caller must hold the table-level write lock to
-// prevent concurrent table access; flushMu excludes an in-flight background
-// flush. Pending immutables are converted with flusher-equivalent counting
-// (see drainImmsLocked); the live memtable flush and the final merge are
-// uncounted, as the inline split compaction always was.
-func (r *region) splitEntries(stats *Stats) (entries []entry, median []byte) {
+// splitEntries returns the region's live entries, the median key to split
+// at, and the single run they were merged into. Caller must hold the
+// table-level write lock to prevent concurrent table access; flushMu
+// excludes an in-flight background flush. Pending immutables are converted
+// with flusher-equivalent counting (see drainImmsLocked); the live memtable
+// is folded in and everything merged in memory only, uncounted, as the
+// inline split compaction always was. Nothing is installed: a split that
+// goes ahead drops the region, run set and memtable together; one that
+// aborts calls adoptMerged. A nil median means nothing to split.
+func (r *region) splitEntries(stats *Stats) (entries []entry, median []byte, merged *blockRun) {
 	r.flushMu.Lock()
 	defer r.flushMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.drainImmsLocked(stats)
+	runs := r.runs
 	if r.mem.size > 0 {
-		r.runs = append(r.runs, newRunFromEntries(r.bcfg, r.mem.drain()))
-		r.mem = newSkiplist(nextSkiplistSeed())
+		runs = withRun(runs, newRunFromEntries(r.bcfg, r.mem.drain()))
 	}
-	if len(r.runs) == 0 {
-		return nil, nil
+	if len(runs) == 0 {
+		return nil, nil, nil
 	}
 	// Always re-merge: even a single run may carry tombstones from a plain
 	// flush, and split children must start from live rows only (a region
 	// owns its whole key range, so nothing older can resurface).
-	r.runs = []*blockRun{mergeRunWindow(r.bcfg, r.runs, nil, nil, true)}
-	es := r.runs[0].materialize()
+	merged = mergeRunWindow(r.bcfg, runs, nil, nil, true)
+	es := merged.materialize()
 	if len(es) < 2 {
-		return nil, nil
+		return nil, nil, merged
 	}
-	return es, es[len(es)/2].key
+	return es, es[len(es)/2].key, merged
+}
+
+// adoptMerged makes the run an aborted split merged the region into — run
+// set and live memtable — its run set, so the merge is not redone at the
+// next attempt. The table write lock the split still holds has kept writers
+// out since splitEntries.
+func (r *region) adoptMerged(merged *blockRun) {
+	if merged == nil {
+		return
+	}
+	r.flushMu.Lock()
+	r.mu.Lock()
+	mem := r.mem
+	var fresh func()
+	if mem.size > 0 {
+		fresh = func() { r.mem = newSkiplist(nextSkiplistSeed()) }
+	}
+	r.install("compact", []*blockRun{merged}, true, fresh, mem)
+	r.mu.Unlock()
+	r.flushMu.Unlock()
+}
+
+// detach cuts a region that left its table loose from the disk: a
+// straggling writer or flush of it stays in memory, and its memtables pin
+// no log any more. Caller holds flushMu.
+func (r *region) detach() {
+	r.mu.Lock()
+	r.per = nil
+	r.mem.unpin()
+	for _, m := range r.imm {
+		m.unpin()
+	}
+	r.mu.Unlock()
 }
 
 // entriesCharge sums the ingest charge over a run of entries — used to

@@ -339,11 +339,11 @@ func (f *follower) applyFrame(frame []byte, commitNanos int64) error {
 	}
 	switch rec.op {
 	case opPut:
-		f.reg.put(rec.key, rec.value)
+		f.reg.put(rec.key, rec.value, nil)
 	case opDelete:
-		f.reg.delete(rec.key)
+		f.reg.delete(rec.key, nil)
 	case opBatch:
-		f.reg.putBatch(rec.rows)
+		f.reg.putBatch(rec.rows, nil)
 	}
 	f.epoch = epoch
 	f.seq = seq
@@ -366,13 +366,14 @@ func (g *replGroup) lagMS(f *follower, nowNanos int64) int64 {
 }
 
 // pickFollower chooses a follower able to serve a read under the staleness
-// bound, or nil to keep the read on the leader. Selection prefers the
-// fastest serving node (slow-node multipliers route reads away from slow
-// replicas) and rotates among ties so read traffic spreads with replica
-// count.
-func (g *replGroup) pickFollower(maxStalenessMS int64) *follower {
+// bound and returns its region and node, or a nil region to keep the read
+// on the leader. Selection prefers the fastest serving node (slow-node
+// multipliers route reads away from slow replicas) and rotates among ties
+// so read traffic spreads with replica count. Both results are read under
+// the group lock: a failover rewrites follower.node under it.
+func (g *replGroup) pickFollower(maxStalenessMS int64) (*region, int) {
 	if maxStalenessMS < 0 {
-		return nil
+		return nil, 0
 	}
 	now := time.Now().UnixNano()
 	g.lock()
@@ -396,10 +397,11 @@ func (g *replGroup) pickFollower(maxStalenessMS int64) *follower {
 		}
 	}
 	if len(cands) == 0 {
-		return nil
+		return nil, 0
 	}
 	g.rr++
-	return cands[g.rr%len(cands)]
+	f := cands[g.rr%len(cands)]
+	return f.reg, f.node
 }
 
 // catchUpLocked brings one follower back in sync: a tail replay when its
@@ -453,19 +455,20 @@ func (g *replGroup) snapshotCatchUpLocked(f *follower) {
 	fr := f.reg
 	fr.flushMu.Lock()
 	fr.mu.Lock()
-	fr.mem = newSkiplist(nextSkiplistSeed())
-	fr.imm = nil
+	var runs []*blockRun
 	if len(entries) > 0 {
 		// The snapshot crosses the wire as the encoded run — compressed
 		// blocks plus index and filter — not as decoded rows;
 		// CatchupShipBytes records the transferred volume.
 		run := newRunFromEntries(fr.bcfg, entries)
-		fr.runs = []*blockRun{run}
+		runs = []*blockRun{run}
 		g.store.stats.CatchupShipBytes.Add(int64(run.residentBytes()))
 		job.AddBytesWritten(int64(run.residentBytes()))
-	} else {
-		fr.runs = nil
 	}
+	fr.install("catchup", runs, true, func() {
+		fr.mem = newSkiplist(nextSkiplistSeed())
+		fr.imm = nil
+	}, nil)
 	fr.writeBytes.Store(entriesCharge(entries))
 	fr.mu.Unlock()
 	fr.flushMu.Unlock()
@@ -504,14 +507,33 @@ func (g *replGroup) failoverLocked() bool {
 	r.mu.Lock()
 	fr.flushMu.Lock()
 	fr.mu.Lock()
-	r.mem, fr.mem = fr.mem, r.mem
-	r.imm, fr.imm = fr.imm, r.imm
-	r.runs, fr.runs = fr.runs, r.runs
+	if r.per != nil {
+		// The promoted copy's memtables hold rows no surviving log segment
+		// need cover (the demoted leader's memtables pinned the log, and its
+		// run files are about to go): fold them into runs, so that what the
+		// manifest names after the promotion is the whole committed state.
+		fr.foldMemtablesLocked()
+	}
+	oldNode := int(r.node.Swap(int64(best.node)))
+	fr.node.Store(int64(oldNode))
+	demoted := r.runs
+	r.install("failover", fr.runs, true, func() {
+		r.mem, fr.mem = fr.mem, r.mem
+		r.imm, fr.imm = fr.imm, r.imm
+		fr.runs = demoted
+	}, nil)
+	// The demoted copy's rows are all in the promoted one's files (every
+	// acknowledged write was shipped before it was acknowledged).
+	fr.mem.unpin()
+	for _, m := range fr.imm {
+		m.unpin()
+	}
+	if r.per != nil {
+		r.per.dropCovered()
+	}
 	rwb, fwb := r.writeBytes.Load(), fr.writeBytes.Load()
 	r.writeBytes.Store(fwb)
 	fr.writeBytes.Store(rwb)
-	oldNode := int(r.node.Swap(int64(best.node)))
-	fr.node.Store(int64(oldNode))
 	fr.mu.Unlock()
 	fr.flushMu.Unlock()
 	r.mu.Unlock()
@@ -540,6 +562,19 @@ func (g *replGroup) failoverLocked() bool {
 	}
 	g.store.stats.Failovers.Add(1)
 	return true
+}
+
+// foldMemtablesLocked turns the region's sealed and live memtables into runs
+// on top of its stack, uncounted and in memory only (a follower has no
+// files). Caller holds flushMu and mu.
+func (r *region) foldMemtablesLocked() {
+	for _, m := range append(r.imm, r.mem) {
+		if m.size > 0 {
+			r.runs = withRun(r.runs, newRunFromEntries(r.bcfg, m.drain()))
+		}
+	}
+	r.imm = nil
+	r.mem = newSkiplist(nextSkiplistSeed())
 }
 
 // replicaHealth is one group's health summary for ReplicaStats.

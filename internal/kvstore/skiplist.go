@@ -41,6 +41,30 @@ type skiplist struct {
 	size  int // entries (including tombstones)
 	bytes int // approximate payload bytes
 	rng   *rand.Rand
+
+	// seg is the oldest log segment holding a row of this memtable (nil in
+	// in-memory stores and on followers). The memtable pins it — and with it
+	// every newer segment — until a run file covering its rows is named in
+	// the manifest. Guarded by the owning region's lock.
+	seg *walSegment
+}
+
+// pin records that a row logged in seg is about to land here. The caller
+// still holds its own pin on seg, so moving down to an older, already
+// sealed segment is safe.
+func (s *skiplist) pin(seg *walSegment) {
+	if seg == nil || (s.seg != nil && s.seg.seq <= seg.seq) {
+		return
+	}
+	seg.pins.Add(1)
+	s.seg.unpin()
+	s.seg = seg
+}
+
+// unpin releases the memtable's hold on the log.
+func (s *skiplist) unpin() {
+	s.seg.unpin()
+	s.seg = nil
 }
 
 func newSkiplist(seed int64) *skiplist {

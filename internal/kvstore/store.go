@@ -13,8 +13,9 @@ import (
 // Options configures a Store.
 type Options struct {
 	// Nodes is the number of simulated storage nodes regions are spread
-	// over. It only affects region placement bookkeeping; all data is in
-	// process memory.
+	// over. It only affects region placement bookkeeping: every region lives
+	// in this process (and, for a store opened with OpenDir, in its one
+	// directory).
 	Nodes int
 	// RegionMaxBytes triggers a region split when a region's approximate
 	// size passes this threshold.
@@ -202,8 +203,8 @@ type Store struct {
 	anyDead   atomic.Bool
 
 	// Durability (set by OpenDir; nil for in-memory stores).
-	dir string
-	wal *wal
+	per      *persister
+	recovery RecoveryStats
 }
 
 // TableFence names the fence extractor the runs of one table are built
@@ -283,9 +284,37 @@ func (s *Store) OpenTable(name string) *Table {
 
 // DropTable removes a table and all its data.
 func (s *Store) DropTable(name string) {
+	seg := s.logMutation(opDropTable, name, nil, nil)
+	s.dropTable(name)
+	s.settle(seg)
+}
+
+// dropTable is DropTable after the log: the live path and log replay share
+// it.
+func (s *Store) dropTable(name string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	t := s.tables[name]
 	delete(s.tables, name)
+	s.mu.Unlock()
+	if t == nil {
+		return
+	}
+	// Hold out every flush of the table while its regions leave the
+	// manifest, then cut the regions loose from the disk: a straggling
+	// writer or flush of a dropped region stays in memory and pins no log.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, r := range t.regions {
+		r.flushMu.Lock()
+	}
+	t.installRegions("table", t.regions, nil, func() {})
+	for _, r := range t.regions {
+		r.detach()
+		r.flushMu.Unlock()
+	}
+	if s.per != nil {
+		s.per.dropCovered()
+	}
 }
 
 // TableNames returns the names of all tables.
@@ -481,6 +510,22 @@ func (s *Store) TierRunHistogram() []int {
 		t.mu.RUnlock()
 	}
 	return hist
+}
+
+// MaxRunsPerRegion reports the deepest run stack any region holds, in the
+// tier policy's logical runs — the worst read amplification a scan can meet.
+func (s *Store) MaxRunsPerRegion() int {
+	deepest := 0
+	for _, t := range s.tablesSnapshot() {
+		for _, r := range t.regionSnapshot() {
+			r.mu.RLock()
+			if n := len(logicalRuns(r.runs)); n > deepest {
+				deepest = n
+			}
+			r.mu.RUnlock()
+		}
+	}
+	return deepest
 }
 
 // CompactAll flushes and compacts every region of every table — the

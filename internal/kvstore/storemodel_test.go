@@ -122,6 +122,77 @@ func TestStoreMatchesSortedMapModel(t *testing.T) {
 	})
 }
 
+// diffModel compares every read shape of tbl — Get, Scan and ScanRanges,
+// with and without limit and filter — with the model's answer byte for
+// byte, and describes the first difference. minVal is the shortest value
+// the workload writes (the filter cuts the value lengths in two).
+func diffModel(tbl *Table, model map[string][]byte, minVal int) error {
+	filter := FilterFunc(func(_, v []byte) bool { return len(v) > minVal+22 })
+	var ranges []KeyRange
+	for i := 0; i < 40; i += 3 {
+		ranges = append(ranges, KeyRange{
+			Start: []byte(fmt.Sprintf("traj/%03d/", i)),
+			End:   []byte(fmt.Sprintf("traj/%03d/%08d", i, 4000)),
+		})
+	}
+	same := func(what string, got, want []KV) error {
+		if len(got) != len(want) {
+			return fmt.Errorf("%s: %d rows, model has %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+				return fmt.Errorf("%s: row %d is %q, model has %q", what, i, got[i].Key, want[i].Key)
+			}
+		}
+		return nil
+	}
+	all := []KeyRange{{}}
+	if err := same("full scan", tbl.Scan(nil, nil, nil, 0), modelScan(model, all, nil, 0)); err != nil {
+		return err
+	}
+	if err := same("filtered scan", tbl.Scan(nil, nil, filter, 0), modelScan(model, all, filter, 0)); err != nil {
+		return err
+	}
+	for i := 0; i < 40; i += 7 {
+		w := []KeyRange{{Start: []byte(fmt.Sprintf("traj/%03d/", i)), End: []byte(fmt.Sprintf("traj/%03d/%08d", i+2, 2500))}}
+		if err := same("window", tbl.Scan(w[0].Start, w[0].End, nil, 0), modelScan(model, w, nil, 0)); err != nil {
+			return err
+		}
+		if err := same("limited window", tbl.Scan(w[0].Start, nil, nil, 25), modelScan(model, []KeyRange{{Start: w[0].Start}}, nil, 25)); err != nil {
+			return err
+		}
+	}
+	for _, c := range []struct {
+		what   string
+		filter Filter
+		limit  int
+	}{{"ranges", nil, 0}, {"ranges limit", nil, 90}, {"ranges filter", filter, 0}, {"ranges filter+limit", filter, 200}} {
+		if err := same(c.what, tbl.ScanRanges(ranges, c.filter, c.limit), modelScan(model, ranges, c.filter, c.limit)); err != nil {
+			return err
+		}
+	}
+	get := func(k []byte) error {
+		got, ok := tbl.Get(k)
+		want, wok := model[string(k)]
+		if ok != wok || !bytes.Equal(got, want) {
+			return fmt.Errorf("get %q = (%x, %v), model has (%x, %v)", k, got, ok, want, wok)
+		}
+		return nil
+	}
+	for k := range model {
+		if err := get([]byte(k)); err != nil {
+			return err
+		}
+	}
+	probe := rand.New(rand.NewSource(99)) // mostly never-written or deleted keys
+	for i := 0; i < 1500; i++ {
+		if err := get(churnKey(probe)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // storeVersusModel runs the phases of TestStoreMatchesSortedMapModel on a
 // store opened with o, writing n rows of minVal+ byte values first. It
 // returns the counters as of the quiesced ingest and the store, which it
@@ -137,53 +208,10 @@ func storeVersusModel(t *testing.T, o Options, n, minVal int) (Snapshot, *Store,
 	model := map[string][]byte{}
 	rng := rand.New(rand.NewSource(4321))
 
-	filter := FilterFunc(func(_, v []byte) bool { return len(v) > minVal+22 })
-	var ranges []KeyRange
-	for i := 0; i < 40; i += 3 {
-		ranges = append(ranges, KeyRange{
-			Start: []byte(fmt.Sprintf("traj/%03d/", i)),
-			End:   []byte(fmt.Sprintf("traj/%03d/%08d", i, 4000)),
-		})
-	}
 	check := func(phase string) {
 		t.Helper()
-		same := func(what string, got, want []KV) {
-			t.Helper()
-			if len(got) != len(want) {
-				t.Fatalf("%s: %s: %d rows, model has %d", phase, what, len(got), len(want))
-			}
-			for i := range got {
-				if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
-					t.Fatalf("%s: %s: row %d is %q, model has %q", phase, what, i, got[i].Key, want[i].Key)
-				}
-			}
-		}
-		all := []KeyRange{{}}
-		same("full scan", tbl.Scan(nil, nil, nil, 0), modelScan(model, all, nil, 0))
-		same("filtered scan", tbl.Scan(nil, nil, filter, 0), modelScan(model, all, filter, 0))
-		for i := 0; i < 40; i += 7 {
-			w := []KeyRange{{Start: []byte(fmt.Sprintf("traj/%03d/", i)), End: []byte(fmt.Sprintf("traj/%03d/%08d", i+2, 2500))}}
-			same("window", tbl.Scan(w[0].Start, w[0].End, nil, 0), modelScan(model, w, nil, 0))
-			same("limited window", tbl.Scan(w[0].Start, nil, nil, 25), modelScan(model, []KeyRange{{Start: w[0].Start}}, nil, 25))
-		}
-		same("ranges", tbl.ScanRanges(ranges, nil, 0), modelScan(model, ranges, nil, 0))
-		same("ranges limit", tbl.ScanRanges(ranges, nil, 90), modelScan(model, ranges, nil, 90))
-		same("ranges filter", tbl.ScanRanges(ranges, filter, 0), modelScan(model, ranges, filter, 0))
-		same("ranges filter+limit", tbl.ScanRanges(ranges, filter, 200), modelScan(model, ranges, filter, 200))
-		get := func(k []byte) {
-			t.Helper()
-			got, ok := tbl.Get(k)
-			want, wok := model[string(k)]
-			if ok != wok || !bytes.Equal(got, want) {
-				t.Fatalf("%s: get %q = (%x, %v), model has (%x, %v)", phase, k, got, ok, want, wok)
-			}
-		}
-		for k := range model {
-			get([]byte(k))
-		}
-		probe := rand.New(rand.NewSource(99)) // mostly never-written or deleted keys
-		for i := 0; i < 1500; i++ {
-			get(churnKey(probe))
+		if err := diffModel(tbl, model, minVal); err != nil {
+			t.Fatalf("%s: %v", phase, err)
 		}
 	}
 

@@ -42,24 +42,37 @@ type Table struct {
 	bcfg *blockConfig
 }
 
+// newTable creates an empty table: one region over the whole key space.
 func newTable(name string, store *Store) *Table {
+	t := tableShell(name, store)
+	r := t.newRegion(store.nextRegionID(), nil, nil, store.nextNode())
+	store.initReplication(r)
+	t.installRegions("table", nil, []*region{r}, func() { t.regions = []*region{r} })
+	return t
+}
+
+// tableShell is a table without regions yet: newTable gives it its first,
+// recovery the ones the manifest names.
+func tableShell(name string, store *Store) *Table {
 	t := &Table{name: name, store: store, bcfg: store.bcfg}
 	if f := store.fences[name]; f != nil {
 		cfg := *store.bcfg // shares cache and stats; diverges only in fence
 		cfg.fence = f
 		t.bcfg = &cfg
 	}
-	t.regions = []*region{newRegion(store.nextRegionID(), nil, nil, store.nextNode(), store.opts.MemtableFlushBytes, store.opts.MaxRunsPerRegion, store.compactPol(), store.fl, t.bcfg)}
-	t.adoptRegion(t.regions[0])
-	store.initReplication(t.regions[0])
 	return t
 }
 
-// adoptRegion stamps a freshly built region with this table's identity and
-// the store's background-job recorder.
-func (t *Table) adoptRegion(r *region) {
+// newRegion builds a leader region of this table with the store's tuning,
+// stamped with the table's identity, the store's background-job recorder
+// and — on a durable store — its persister.
+func (t *Table) newRegion(id int64, start, end []byte, node int) *region {
+	o := &t.store.opts
+	r := newRegion(id, start, end, node, o.MemtableFlushBytes, o.MaxRunsPerRegion, t.store.compactPol(), t.store.fl, t.bcfg)
 	r.tname = t.name
 	r.jobs = t.store.jobs
+	r.per = t.store.per
+	return r
 }
 
 // Name returns the table name.
@@ -104,29 +117,32 @@ func (t *Table) PreSplit(keys [][]byte) error {
 	regions := make([]*region, 0, len(keys)+1)
 	var start []byte
 	for _, k := range keys {
-		regions = append(regions, newRegion(t.store.nextRegionID(), start, k,
-			t.store.nextNode(), t.store.opts.MemtableFlushBytes, t.store.opts.MaxRunsPerRegion, t.store.compactPol(), t.store.fl, t.bcfg))
+		regions = append(regions, t.newRegion(t.store.nextRegionID(), start, k, t.store.nextNode()))
 		start = k
 	}
-	regions = append(regions, newRegion(t.store.nextRegionID(), start, nil,
-		t.store.nextNode(), t.store.opts.MemtableFlushBytes, t.store.opts.MaxRunsPerRegion, t.store.compactPol(), t.store.fl, t.bcfg))
+	regions = append(regions, t.newRegion(t.store.nextRegionID(), start, nil, t.store.nextNode()))
 	for _, r := range regions {
-		t.adoptRegion(r)
 		t.store.initReplication(r)
 	}
-	t.regions = regions
+	t.installRegions("table", t.regions, regions, func() { t.regions = regions })
 	return nil
 }
 
 // Put inserts or replaces a row. Key and value are retained by the table;
 // callers must not mutate them afterwards. Put models a trusted in-process
-// write (WAL replay, snapshot load, index rewrites) and never fails; client
+// write (WAL replay, index rewrites) and never fails; client
 // writes that should observe cluster faults go through PutCtx.
 func (t *Table) Put(key, value []byte) {
-	t.store.logMutation(opPut, t.name, key, value)
+	seg := t.store.logMutation(opPut, t.name, key, value)
+	t.applyPut(key, value, seg)
+	t.store.settle(seg)
+}
+
+// applyPut is Put after the log: the live path and log replay share it.
+func (t *Table) applyPut(key, value []byte, seg *walSegment) {
 	t.mu.RLock()
 	r := t.regionForKey(key)
-	wb := r.put(key, value)
+	wb := r.put(key, value, seg)
 	t.mu.RUnlock()
 	t.store.stats.Puts.Add(1)
 	if wb >= int64(t.store.opts.RegionMaxBytes) {
@@ -147,9 +163,10 @@ func (t *Table) PutCtx(ctx context.Context, key, value []byte) error {
 		t.mu.RUnlock()
 		return err
 	}
-	t.store.logMutation(opPut, t.name, key, value)
-	wb := r.put(key, value)
+	seg := t.store.logMutation(opPut, t.name, key, value)
+	wb := r.put(key, value, seg)
 	t.mu.RUnlock()
+	t.store.settle(seg)
 	t.store.stats.Puts.Add(1)
 	if wb >= int64(t.store.opts.RegionMaxBytes) {
 		t.maybeSplit(r)
@@ -159,10 +176,15 @@ func (t *Table) PutCtx(ctx context.Context, key, value []byte) error {
 
 // Delete removes a row (writes a tombstone).
 func (t *Table) Delete(key []byte) {
-	t.store.logMutation(opDelete, t.name, key, nil)
+	seg := t.store.logMutation(opDelete, t.name, key, nil)
+	t.applyDelete(key, seg)
+	t.store.settle(seg)
+}
+
+func (t *Table) applyDelete(key []byte, seg *walSegment) {
 	t.mu.RLock()
 	r := t.regionForKey(key)
-	r.delete(key)
+	r.delete(key, seg)
 	t.mu.RUnlock()
 	t.store.stats.Deletes.Add(1)
 }
@@ -264,10 +286,11 @@ func (t *Table) maybeSplit(r *region) {
 	}
 	job := t.store.jobs.Begin("split", t.name, r.id)
 	defer t.store.jobs.End(job)
-	entries, median := r.splitEntries(&t.store.stats)
+	entries, median, merged := r.splitEntries(&t.store.stats)
 	if median == nil {
 		// Nothing (or a single row) survives compaction; re-seed the ingest
 		// metric from actual content so puts don't re-attempt every time.
+		r.adoptMerged(merged)
 		r.writeBytes.Store(int64(r.size()))
 		return
 	}
@@ -277,13 +300,12 @@ func (t *Table) maybeSplit(r *region) {
 	if cut == 0 || cut == len(entries) {
 		// Degenerate key distribution (everything on one side): same
 		// re-seed so an overwrite-heavy region doesn't loop on splitting.
+		r.adoptMerged(merged)
 		r.writeBytes.Store(entriesCharge(entries))
 		return
 	}
-	left := newRegion(t.store.nextRegionID(), r.startKey, median, r.nodeID(), r.flushBytes, r.maxRuns, r.cpol, t.store.fl, t.bcfg)
-	right := newRegion(t.store.nextRegionID(), median, r.endKey, t.store.nextNode(), r.flushBytes, r.maxRuns, r.cpol, t.store.fl, t.bcfg)
-	t.adoptRegion(left)
-	t.adoptRegion(right)
+	left := t.newRegion(t.store.nextRegionID(), r.startKey, median, r.nodeID())
+	right := t.newRegion(t.store.nextRegionID(), median, r.endKey, t.store.nextNode())
 	leftCharge, rightCharge := entriesCharge(entries[:cut]), entriesCharge(entries[cut:])
 	left.runs = []*blockRun{newRunFromEntries(t.bcfg, entries[:cut])}
 	right.runs = []*blockRun{newRunFromEntries(t.bcfg, entries[cut:])}
@@ -299,7 +321,16 @@ func (t *Table) maybeSplit(r *region) {
 	// Freshly moved regions are briefly unavailable to clients, as in HBase.
 	t.store.injector.markUnavailable(left)
 	t.store.injector.markUnavailable(right)
-	t.regions = append(t.regions[:idx], append([]*region{left, right}, t.regions[idx+1:]...)...)
+	t.installRegions("split", []*region{r}, []*region{left, right}, func() {
+		t.regions = append(t.regions[:idx], append([]*region{left, right}, t.regions[idx+1:]...)...)
+	})
+	if p := t.store.per; p != nil {
+		// The children's files hold the parent's memtable rows too.
+		r.flushMu.Lock()
+		r.detach()
+		r.flushMu.Unlock()
+		p.dropCovered()
+	}
 	t.store.stats.RegionSplits.Add(1)
 }
 
@@ -311,7 +342,8 @@ func (t *Table) maybeSplit(r *region) {
 type writeTask struct {
 	reg    *region
 	rows   []KV
-	wb     int64 // region ingest volume after apply (split check)
+	seg    *walSegment // log segment the memtables taking the rows pin
+	wb     int64       // region ingest volume after apply (split check)
 	cost   time.Duration
 	failed bool
 }
@@ -320,7 +352,7 @@ type writeTask struct {
 // one batch RPC — the HBase batch-mutate analogue: latency is paid once per
 // region, transfer and disk once per byte.
 func (t *Table) runWriteTask(tk *writeTask) {
-	tk.wb = tk.reg.putBatch(tk.rows)
+	tk.wb = tk.reg.putBatch(tk.rows, tk.seg)
 	t.store.stats.RPCs.Add(1)
 	rpcLatency := time.Duration(t.store.opts.RPCLatencyMicros) * time.Microsecond
 	io := rpcLatency
@@ -367,7 +399,7 @@ func sortRowsStable(rows []KV) {
 
 // groupWriteTasks carves key-sorted rows into per-region contiguous
 // sub-slices. Caller must hold t.mu (R or W).
-func (t *Table) groupWriteTasks(rows []KV) []writeTask {
+func (t *Table) groupWriteTasks(rows []KV, seg *walSegment) []writeTask {
 	tasks := make([]writeTask, 0, 4)
 	i := 0
 	for i < len(rows) {
@@ -378,7 +410,7 @@ func (t *Table) groupWriteTasks(rows []KV) []writeTask {
 				return bytes.Compare(rows[i+k].Key, r.endKey) >= 0
 			})
 		}
-		tasks = append(tasks, writeTask{reg: r, rows: rows[i:j]})
+		tasks = append(tasks, writeTask{reg: r, rows: rows[i:j], seg: seg})
 		i = j
 	}
 	return tasks
@@ -431,9 +463,16 @@ func (t *Table) MultiPut(rows []KV) {
 		return
 	}
 	sortRowsStable(rows)
-	t.store.logBatch(t.name, rows)
+	seg := t.store.logBatch(t.name, rows)
+	t.applyBatch(rows, seg)
+	t.store.settle(seg)
+}
+
+// applyBatch is MultiPut after the sort and the log: the live path and log
+// replay share it.
+func (t *Table) applyBatch(rows []KV, seg *walSegment) {
 	t.mu.RLock()
-	tasks := t.groupWriteTasks(rows)
+	tasks := t.groupWriteTasks(rows, seg)
 	if len(tasks) == 1 {
 		// Single-region batch: apply inline, skipping the pool handoff.
 		t.runWriteTask(&tasks[0])
@@ -501,8 +540,15 @@ func (t *Table) MultiPutCtx(ctx context.Context, rows []KV) (MultiPutReport, err
 	}
 	var retried atomic.Int64
 
+	// The rows are logged after they are applied (only those that landed
+	// are), so the memtables taking them pin the segment active now: the
+	// record cannot land in an older one.
+	var pin *walSegment
+	if t.store.per != nil {
+		pin = t.store.per.wal.pinActive()
+	}
 	t.mu.RLock()
-	tasks := t.groupWriteTasks(rows)
+	tasks := t.groupWriteTasks(rows, pin)
 	var wg sync.WaitGroup
 	run := func(tk *writeTask) {
 		// Client retry loop: every injected fault costs one analytic
@@ -559,20 +605,20 @@ func (t *Table) MultiPutCtx(ctx context.Context, rows []KV) (MultiPutReport, err
 	}
 	rep.Applied = applied
 	// Log only the rows that actually landed, still as one batch record.
-	if t.store.wal != nil && applied > 0 {
-		if applied == len(rows) {
-			t.store.logBatch(t.name, rows)
-		} else {
-			kept := make([]KV, 0, applied)
+	if t.store.per != nil && applied > 0 {
+		kept := rows
+		if applied < len(rows) {
+			kept = make([]KV, 0, applied)
 			for i := range tasks {
 				if !tasks[i].failed {
 					kept = append(kept, tasks[i].rows...)
 				}
 			}
-			t.store.logBatch(t.name, kept)
 		}
+		t.store.logBatch(t.name, kept).unpin()
 	}
 	t.mu.RUnlock()
+	t.store.settle(pin)
 
 	rep.RetriedRPCs = retried.Load()
 	if rep.FailedRegions > 0 {
@@ -670,8 +716,8 @@ func (t *Table) runScanTask(tk *scanTask, ranges []KeyRange, filter Filter, limi
 			return
 		}
 		if g := tk.reg.rep; g != nil {
-			if f := g.pickFollower(pref.MaxStalenessMS); f != nil {
-				serveReg, serveNode = f.reg, f.node
+			if reg, node := g.pickFollower(pref.MaxStalenessMS); reg != nil {
+				serveReg, serveNode = reg, node
 			}
 		}
 	}
@@ -1041,9 +1087,7 @@ func (t *Table) compactRegion(r *region) {
 	r.drainImmsLocked(st)
 	if r.mem.size > 0 {
 		job := r.jobs.Begin("flush", r.tname, r.id)
-		run := newRunFromEntries(r.bcfg, r.mem.drain())
-		r.runs = append(r.runs, run)
-		r.mem = newSkiplist(nextSkiplistSeed())
+		run := r.flushMemLocked()
 		st.Flushes.Add(1)
 		st.BytesFlushed.Add(int64(run.rawBytes))
 		job.AddBytesRead(int64(run.rawBytes))
@@ -1063,7 +1107,7 @@ func (t *Table) compactRegion(r *region) {
 		job := r.jobs.Begin("compact", r.tname, r.id)
 		nRuns := int64(len(r.runs))
 		start := time.Now()
-		r.runs = []*blockRun{mergeRunWindow(r.bcfg, r.runs, nil, nil, true)}
+		r.install("compact", []*blockRun{mergeRunWindow(r.bcfg, r.runs, nil, nil, true)}, true, nil, nil)
 		st.Compactions.Add(1)
 		st.BytesCompacted.Add(int64(total))
 		st.CompactStallNanos.Add(time.Since(start).Nanoseconds())

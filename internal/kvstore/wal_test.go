@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,6 +55,9 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// Checkpoint turns the whole log into run files: afterwards no sealed
+// segment is left, the active one is empty, and a restart replays nothing
+// but what was written since.
 func TestCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDir(dir, NoNetworkOptions())
@@ -73,6 +78,9 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	if walInfo.Size() != 0 {
 		t.Errorf("WAL size after checkpoint = %d, want 0", walInfo.Size())
 	}
+	if ps := s.PersistStats(); ps.WALSegments != 1 || ps.WALTailBytes != 0 || ps.RunFiles == 0 {
+		t.Errorf("after checkpoint: %+v, want one empty segment and the rows in run files", ps)
+	}
 	// More writes after the checkpoint land in the fresh WAL.
 	tbl.Put([]byte("post-checkpoint"), []byte("x"))
 	s.Close()
@@ -82,12 +90,57 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if rec := s2.Recovery(); rec.WALRows != 1 || rec.RunFiles == 0 {
+		t.Errorf("recovery replayed %d rows over %d run files, want the one post-checkpoint row over the flushed runs", rec.WALRows, rec.RunFiles)
+	}
 	rows := s2.Table("t").Scan(nil, nil, nil, 0)
 	if len(rows) != 201 {
-		t.Fatalf("recovered %d rows, want 201 (snapshot + post-checkpoint WAL)", len(rows))
+		t.Fatalf("recovered %d rows, want 201 (run files + post-checkpoint WAL)", len(rows))
 	}
 	if _, ok := s2.Table("t").Get([]byte("post-checkpoint")); !ok {
 		t.Error("post-checkpoint write lost")
+	}
+}
+
+// Checkpoint may run beside writers: nothing acknowledged before, during or
+// after it is lost, and it still releases the log written before it began.
+func TestCheckpointBesideWriters(t *testing.T) {
+	dir := t.TempDir()
+	o := NoNetworkOptions()
+	o.MemtableFlushBytes = 16 << 10
+	s, err := OpenDir(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := s.OpenTable("t")
+	const writers, each = 4, 600
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tbl.Put([]byte(fmt.Sprintf("w%d-%05d", w, i)), bytes.Repeat([]byte{byte(w)}, 64))
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenDir(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := len(s2.Table("t").Scan(nil, nil, nil, 0)); got != writers*each {
+		t.Fatalf("recovered %d rows, want %d", got, writers*each)
 	}
 }
 
@@ -152,22 +205,41 @@ func TestCorruptWALRecordStopsReplayCleanly(t *testing.T) {
 	}
 }
 
-func TestCorruptSnapshotRejected(t *testing.T) {
+// A directory checkpointed by the snapshot-writing versions is refused
+// outright: there is no second loader.
+func TestLegacySnapshotDirectoryRefused(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := OpenDir(dir, NoNetworkOptions())
-	s.OpenTable("t").Put([]byte("k"), []byte("v"))
-	if err := s.Checkpoint(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, legacySnapshotFile), []byte("tMAN"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	if _, err := OpenDir(dir, NoNetworkOptions()); err == nil || !strings.Contains(err.Error(), legacySnapshotFile) {
+		t.Fatalf("OpenDir on a snapshot directory: %v, want a refusal naming %s", err, legacySnapshotFile)
+	}
+}
 
-	snapPath := filepath.Join(dir, snapFileName)
-	data, _ := os.ReadFile(snapPath)
-	data[10] ^= 0xFF
-	os.WriteFile(snapPath, data, 0o644)
-
-	if _, err := OpenDir(dir, NoNetworkOptions()); err == nil {
-		t.Fatal("corrupt snapshot accepted")
+// A directory holding only a wal.log — what every version before run files
+// left — opens through the same path: empty manifest, one segment.
+func TestLogOnlyDirectoryOpens(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, _, err := w.append(opPut, "t", []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDir(dir, NoNetworkOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := len(s.Table("t").Scan(nil, nil, nil, 0)); got != 20 {
+		t.Fatalf("recovered %d rows from a log-only directory, want 20", got)
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 func buildWAL(t *testing.T, dir string, n int) (data []byte, lastRecOff int) {
 	t.Helper()
 	path := filepath.Join(dir, walFileName)
-	w, err := openWAL(path)
+	w, err := openWAL(dir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n-1; i++ {
-		if err := w.append(opPut, "t", []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+		if _, _, err := w.append(opPut, "t", []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.sync(); err != nil {
+	if _, err := w.sync(); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -29,7 +29,7 @@ func buildWAL(t *testing.T, dir string, n int) (data []byte, lastRecOff int) {
 		t.Fatal(err)
 	}
 	lastRecOff = int(fi.Size())
-	if err := w.append(opPut, "t", []byte(fmt.Sprintf("k%03d", n-1)), []byte(fmt.Sprintf("v%03d", n-1))); err != nil {
+	if _, _, err := w.append(opPut, "t", []byte(fmt.Sprintf("k%03d", n-1)), []byte(fmt.Sprintf("v%03d", n-1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -52,7 +52,7 @@ func replayCount(t *testing.T, data []byte) int {
 		t.Fatal(err)
 	}
 	applied := 0
-	err := replayWAL(path, func(rec walRecord) {
+	_, err := replayWAL(path, func(rec walRecord) {
 		if rec.op != opPut || rec.table != "t" {
 			t.Fatalf("replayed corrupt record: op=%d table=%q", rec.op, rec.table)
 		}
@@ -136,16 +136,16 @@ func TestWALBitFlipMidLog(t *testing.T) {
 func buildBatchWAL(t *testing.T, dir string, singles, batchRows int) (data []byte, batchOff int) {
 	t.Helper()
 	path := filepath.Join(dir, walFileName)
-	w, err := openWAL(path)
+	w, err := openWAL(dir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < singles; i++ {
-		if err := w.append(opPut, "t", []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+		if _, _, err := w.append(opPut, "t", []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.sync(); err != nil {
+	if _, err := w.sync(); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -157,7 +157,7 @@ func buildBatchWAL(t *testing.T, dir string, singles, batchRows int) (data []byt
 	for i := range rows {
 		rows[i] = KV{Key: []byte(fmt.Sprintf("b%03d", i)), Value: []byte(fmt.Sprintf("w%03d", i))}
 	}
-	if err := w.appendBatch("t", rows); err != nil {
+	if _, _, err := w.appendBatch("t", rows); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -180,7 +180,7 @@ func replayBatchCount(t *testing.T, data []byte, batchRows int) (singles, rows i
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := replayWAL(path, func(rec walRecord) {
+	_, err := replayWAL(path, func(rec walRecord) {
 		switch rec.op {
 		case opPut:
 			singles++

@@ -170,10 +170,16 @@ func NewJobRecorder(n int) *JobRecorder {
 
 // Begin opens a job. Returns nil (a no-op job) on a nil recorder.
 func (r *JobRecorder) Begin(kind, table string, region int64) *Job {
+	return r.BeginAt(kind, table, region, time.Now())
+}
+
+// BeginAt is Begin for work that started before the recorder existed (a
+// store's recovery opens the store that owns the recorder).
+func (r *JobRecorder) BeginAt(kind, table string, region int64, start time.Time) *Job {
 	if r == nil {
 		return nil
 	}
-	j := &Job{Kind: kind, Table: table, Region: region, start: time.Now()}
+	j := &Job{Kind: kind, Table: table, Region: region, start: start}
 	r.mu.Lock()
 	r.seq++
 	j.ID = r.seq

@@ -136,10 +136,13 @@ func WithPushDown(enabled bool) Option {
 	return func(c *engine.Config) { c.PushDown = enabled }
 }
 
-// WithDataDir makes the database durable: mutations are logged to a WAL
-// under dir and Open recovers any previous state found there. Call
-// DB.Close before exiting and DB.Checkpoint periodically to bound log
-// growth.
+// WithDataDir makes the database durable: every mutation is appended to a
+// segmented write-ahead log under dir before it is applied, memtables are
+// flushed into immutable run files named by a manifest, and log segments
+// are unlinked once their rows are in run files — so the log stays bounded
+// on its own and Open recovers by loading the run files and replaying only
+// the log tail. An acknowledged write survives a killed process; after
+// DB.Checkpoint or DB.Close (which fsync) it also survives power loss.
 func WithDataDir(dir string) Option {
 	return func(c *engine.Config) { c.DataDir = dir }
 }
@@ -355,11 +358,14 @@ func (db *DB) QueryNearestCtx(ctx context.Context, x, y float64, k int) ([]*Traj
 	return db.eng.NearestQueryCtx(ctx, x, y, k)
 }
 
-// Close flushes durable state to disk (a no-op for in-memory databases).
+// Close fsyncs and closes a durable database's files and returns the first
+// persistence error it met, if any (a no-op for in-memory databases).
 func (db *DB) Close() error { return db.eng.Close() }
 
-// Checkpoint writes a snapshot of a durable database and truncates its
-// write-ahead log. It returns an error for in-memory databases.
+// Checkpoint flushes every memtable of a durable database into run files,
+// fsyncs run files, manifest and log, and drops the log segments now
+// covered, so the next Open replays (almost) nothing. It may run beside
+// writers. It returns an error for in-memory databases.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // Engine exposes the underlying engine for advanced use (statistics,
